@@ -17,8 +17,6 @@ import numpy as np
 from . import bench, discrepancy, neuralnet, rrtplan, seqcore, trainer
 from .seqcore import SequenceSpec
 
-GENERATOR_KINDS = ("vdc", "halton", "sobol", "sobol-scrambled", "uniform", "neural")
-
 
 def _build_spec(args, kind=None) -> SequenceSpec:
     kind = kind or args.kind
@@ -183,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("generate", help="write points of a sequence to a file")
-    p.add_argument("--kind", choices=GENERATOR_KINDS, required=True)
+    p.add_argument("--kind", choices=seqcore.KINDS, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--burn-in", type=int, default=0, dest="burn_in")
@@ -223,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("integrate", help="QMC integration error study")
-    p.add_argument("--kind", choices=GENERATOR_KINDS, required=True)
+    p.add_argument("--kind", choices=seqcore.KINDS, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--burn-in", type=int, default=0, dest="burn_in")

@@ -299,10 +299,6 @@ DEFAULT_WIDTHS = (0.40, 0.44, 0.48, 0.52, 0.56, 0.60, 0.64)
 N_PRECOMPUTED_SEQUENCES = 10
 
 
-def _source_label(spec: SequenceSpec) -> str:
-    return spec.kind
-
-
 def _source_samples(spec: SequenceSpec, n: int, variant: int) -> np.ndarray:
     """Sample array for one precomputed sequence of a source.
 
@@ -382,5 +378,5 @@ def success_rate(
                 for cell, ok in zip(cells, outcomes)
                 if cell[0] == si and cell[1] == width
             ]
-            rows.append((_source_label(spec), float(width), 100.0 * np.mean(hits)))
+            rows.append((spec.kind, float(width), 100.0 * np.mean(hits)))
     return rows

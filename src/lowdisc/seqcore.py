@@ -433,11 +433,18 @@ def save_points_bin(points: np.ndarray, path) -> None:
 
 def load_points_bin(path) -> np.ndarray:
     data = Path(path).read_bytes()
+    if len(data) < _POINT_HEADER.size:
+        raise ValueError(
+            f"{path}: {len(data)} bytes is shorter than the "
+            f"{_POINT_HEADER.size}-byte point-file header"
+        )
     magic, version, n, d = _POINT_HEADER.unpack_from(data)
     if magic != POINT_MAGIC:
         raise ValueError(f"{path}: not a point file (bad magic)")
     if version != 1:
         raise ValueError(f"{path}: unsupported point-file version {version}")
+    if (len(data) - _POINT_HEADER.size) % 8:
+        raise ValueError(f"{path}: body is not a whole number of float64 values")
     body = np.frombuffer(data, dtype="<f8", offset=_POINT_HEADER.size)
     if body.size != n * d:
         raise ValueError(f"{path}: truncated point file")

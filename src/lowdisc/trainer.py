@@ -216,6 +216,9 @@ def finetune(model: neuralnet.MlpModel, cfg: TrainConfig):
 
     def evaluate():
         points = neuralnet._forward_encoded(model, enc)[0]
+        if not np.isfinite(points).all():
+            # prefix_loss rejects such points; report divergence as a nan loss
+            return points, np.nan
         return points, discrepancy.prefix_loss(kspec, weights, points)
 
     points, loss = evaluate()

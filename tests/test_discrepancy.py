@@ -38,9 +38,45 @@ def naive_squared(spec, pts):
     return c0 - 2.0 * bsum / n + pair / n**2
 
 
-def naive_all_prefixes(spec, pts):
+def naive_prefix_squared(spec, pts):
+    """Squared discrepancy of every prefix, each from its own double sum over
+    the leading block of the full pair matrix (oracle, O(N^3))."""
+    pts = np.asarray(pts, dtype=np.float64)
+    n, d = pts.shape
+    fam = disc.KERNELS[spec.family]
+    gam = spec.weights
+    gram = np.ones((n, n))
+    bprod = np.ones(n)
+    for j in range(d):
+        kj = fam.k(pts[:, None, j], pts[None, :, j])
+        bj = fam.b(pts[:, j])
+        gram *= (1.0 + gam[j] * kj) if gam else kj
+        bprod *= (1.0 + gam[j] * bj) if gam else bj
+    c1 = fam.c
+    c0 = math.prod(1.0 + g * c1 for g in gam) if gam else c1**d
     return np.array(
-        [math.sqrt(max(naive_squared(spec, pts[:p]), 0.0)) for p in range(1, len(pts) + 1)]
+        [c0 - 2.0 * bprod[:p].sum() / p + gram[:p, :p].sum() / p**2 for p in range(1, n + 1)]
+    )
+
+
+def naive_all_prefixes(spec, pts):
+    return np.sqrt(np.maximum(naive_prefix_squared(spec, pts), 0.0))
+
+
+# Pair terms are evaluated on tiles; this size spans at least three row
+# blocks and two column blocks and is a multiple of neither.
+TILE_ROWS = disc._TILE_ROWS
+TILE_COLS = disc._TILE_PAIRS // disc._TILE_ROWS
+TILED_N = max(3 * TILE_ROWS, TILE_COLS + TILE_ROWS) + TILE_ROWS // 2 + 1
+
+
+def family_sizes(small_n):
+    """Every family at ``small_n`` (ids: the family) and at TILED_N (ids:
+    family-tiled)."""
+    return pytest.mark.parametrize(
+        "family, n",
+        [(f, small_n) for f in FAMILIES] + [(f, TILED_N) for f in FAMILIES],
+        ids=list(FAMILIES) + [f"{f}-tiled" for f in FAMILIES],
     )
 
 
@@ -183,19 +219,39 @@ class TestDiscrepancySingle:
             assert disc.discrepancy_single(disc.KernelSpec(family), pts) >= 0.0
 
 
+class TestTiles:
+    def test_cover_lower_triangle_once(self):
+        n = TILED_N
+        assert n % TILE_ROWS and n % TILE_COLS
+        count = np.zeros((n, n), dtype=int)
+        for lo, hi, c0, c1 in disc._tiles(n):
+            assert (hi - lo) * (c1 - c0) <= disc._TILE_PAIRS
+            if c0 == lo:
+                assert c1 == hi
+                count[lo:hi, c0:c1] += np.tri(hi - lo, k=-1, dtype=int)
+            else:
+                assert c1 <= lo
+                count[lo:hi, c0:c1] += 1
+        np.testing.assert_array_equal(count, np.tri(n, k=-1, dtype=int))
+        blocks = {(lo, hi) for lo, hi, _, _ in disc._tiles(n)}
+        assert len(blocks) >= 3
+        last = max(blocks)
+        assert sum(1 for lo, hi, c0, _ in disc._tiles(n) if (lo, hi) == last and c0 < lo) >= 2
+
+
 class TestAllPrefixes:
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_matches_naive(self, family):
+    @family_sizes(40)
+    def test_matches_naive(self, family, n):
         rng = np.random.default_rng(11)
-        pts = rng.uniform(0, 1, (40, 3))
+        pts = rng.uniform(0, 1, (n, 3))
         spec = disc.KernelSpec(family)
         got = disc.discrepancy_all_prefixes(spec, pts)
         ref = naive_all_prefixes(spec, pts)
         np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-14)
 
-    def test_weighted_matches_naive(self):
+    def check_weighted(self, n):
         rng = np.random.default_rng(12)
-        pts = rng.uniform(0, 1, (24, 2))
+        pts = rng.uniform(0, 1, (n, 2))
         spec = disc.KernelSpec("sym", weights=(1.5, 0.25))
         np.testing.assert_allclose(
             disc.discrepancy_all_prefixes(spec, pts),
@@ -203,10 +259,16 @@ class TestAllPrefixes:
             rtol=1e-10,
         )
 
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_last_entry_is_single(self, family):
+    def test_weighted_matches_naive(self):
+        self.check_weighted(24)
+
+    def test_weighted_matches_naive_across_tiles(self):
+        self.check_weighted(TILED_N)
+
+    @family_sizes(57)
+    def test_last_entry_is_single(self, family, n):
         rng = np.random.default_rng(13)
-        pts = rng.uniform(0, 1, (57, 4))
+        pts = rng.uniform(0, 1, (n, 4))
         spec = disc.KernelSpec(family)
         curve = disc.discrepancy_all_prefixes(spec, pts)
         assert curve[-1] == pytest.approx(
@@ -252,11 +314,7 @@ class TestPrefixWeights:
 
 class TestPrefixLoss:
     def naive_loss(self, spec, weights, pts):
-        w = weights.resolve(len(pts))
-        return sum(
-            wp * naive_squared(spec, pts[:p])
-            for p, wp in zip(range(2, len(pts) + 1), w)
-        )
+        return weights.resolve(len(pts)) @ naive_prefix_squared(spec, pts)[1:]
 
     def test_two_points_equals_squared(self):
         rng = np.random.default_rng(20)
@@ -265,25 +323,31 @@ class TestPrefixLoss:
         loss = disc.prefix_loss(spec, disc.PrefixWeights("uniform"), pts)
         assert loss == pytest.approx(naive_squared(spec, pts), rel=1e-12)
 
-    @pytest.mark.parametrize("family", FAMILIES)
+    @family_sizes(30)
     @pytest.mark.parametrize("scheme", ["uniform", "length-proportional"])
-    def test_matches_naive(self, family, scheme):
+    def test_matches_naive(self, family, n, scheme):
         rng = np.random.default_rng(21)
-        pts = rng.uniform(0, 1, (30, 3))
+        pts = rng.uniform(0, 1, (n, 3))
         spec = disc.KernelSpec(family)
         weights = disc.PrefixWeights(scheme)
         assert disc.prefix_loss(spec, weights, pts) == pytest.approx(
             self.naive_loss(spec, weights, pts), rel=1e-10
         )
 
-    def test_weighted_kernel_matches_naive(self):
+    def check_weighted_kernel(self, n):
         rng = np.random.default_rng(22)
-        pts = rng.uniform(0, 1, (20, 4))
+        pts = rng.uniform(0, 1, (n, 4))
         spec = disc.KernelSpec("sym", weights=(0.9, 0.1, 2.0, 1.0))
         weights = disc.PrefixWeights("length-proportional")
         assert disc.prefix_loss(spec, weights, pts) == pytest.approx(
             self.naive_loss(spec, weights, pts), rel=1e-10
         )
+
+    def test_weighted_kernel_matches_naive(self):
+        self.check_weighted_kernel(20)
+
+    def test_weighted_kernel_matches_naive_across_tiles(self):
+        self.check_weighted_kernel(TILED_N)
 
     def test_custom_matches_naive(self):
         rng = np.random.default_rng(23)
@@ -310,10 +374,45 @@ class TestPrefixLoss:
             )
 
 
+def dense_grad_reference(spec, weights, pts):
+    """The untiled gradient: whole (N, N, d) kernel and derivative tensors,
+    leave-one-out products along the last axis and a gathered beta[max(m, j)]
+    coefficient matrix (reference)."""
+    n, d = pts.shape
+    _, alpha, beta = disc._loss_coefficients(weights, n)
+    fam = disc.KERNELS[spec.family]
+    gam = None if spec.weights is None else np.asarray(spec.weights)
+
+    def loo(factors):
+        left = np.ones_like(factors)
+        right = np.ones_like(factors)
+        for t in range(1, d):
+            left[..., t] = left[..., t - 1] * factors[..., t - 1]
+        for t in range(d - 2, -1, -1):
+            right[..., t] = right[..., t + 1] * factors[..., t + 1]
+        return left * right
+
+    bfac, bder = fam.b(pts), fam.db(pts)
+    kdfac, kdder = fam.kdiag(pts), fam.dkdiag(pts)
+    kfac = fam.k(pts[:, None, :], pts[None, :, :])
+    dfac = fam.dk(pts[:, None, :], pts[None, :, :])
+    if gam is not None:
+        bfac, bder = 1.0 + gam * bfac, gam * bder
+        kdfac, kdder = 1.0 + gam * kdfac, gam * kdder
+        kfac, dfac = 1.0 + gam * kfac, gam * dfac
+    grad = alpha[:, None] * bder * loo(bfac)
+    grad += beta[:, None] * kdder * loo(kdfac)
+    idx = np.arange(n)
+    coeff = beta[np.maximum(idx[:, None], idx[None, :])]
+    np.fill_diagonal(coeff, 0.0)
+    grad += 2.0 * np.einsum("mj,mjt->mt", coeff, dfac * loo(kfac))
+    return grad
+
+
 class TestPrefixLossGrad:
-    def fdiff(self, spec, weights, pts, h=1e-6):
+    def fdiff(self, spec, weights, pts, h=1e-6, rows=None):
         grad = np.zeros_like(pts)
-        for m in range(pts.shape[0]):
+        for m in range(pts.shape[0]) if rows is None else rows:
             for t in range(pts.shape[1]):
                 hi = pts.copy()
                 lo = pts.copy()
@@ -346,6 +445,38 @@ class TestPrefixLossGrad:
             self.fdiff(spec, weights, pts),
             rtol=1e-5,
             atol=1e-10,
+        )
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_matches_finite_differences_across_tiles(self, family, d):
+        # rows at both edges of tile boundaries, plus the last point
+        rng = np.random.default_rng(35 + d)
+        spec = disc.KernelSpec(family)
+        weights = disc.PrefixWeights("uniform")
+        pts = rng.uniform(0.02, 0.98, (TILED_N, d))
+        rows = sorted({0, TILE_ROWS - 1, TILE_ROWS, TILE_COLS - 1, TILE_COLS, TILED_N - 1})
+        got = disc.prefix_loss_grad(spec, weights, pts)[rows]
+        ref = self.fdiff(spec, weights, pts, rows=rows)[rows]
+        np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [disc.KernelSpec(f) for f in FAMILIES]
+        + [disc.KernelSpec("star", weights=(2.0, 0.3, 1.1))],
+        ids=list(FAMILIES) + ["star-weighted"],
+    )
+    @pytest.mark.parametrize("scheme", ["uniform", "length-proportional"])
+    @pytest.mark.parametrize("n", [16, TILED_N])
+    def test_matches_dense_reference(self, spec, scheme, n):
+        rng = np.random.default_rng(36)
+        weights = disc.PrefixWeights(scheme)
+        pts = rng.uniform(0, 1, (n, 3))
+        np.testing.assert_allclose(
+            disc.prefix_loss_grad(spec, weights, pts),
+            dense_grad_reference(spec, weights, pts),
+            rtol=1e-12,
+            atol=1e-15,
         )
 
     def test_ctr_gradient_antisymmetric(self):
@@ -404,3 +535,49 @@ class TestNumericalGuards:
     def test_radicand_error(self):
         with pytest.raises(disc.NumericalError):
             disc._sqrt_clamped(np.array([-1e-9]))
+
+
+class TestDeterminism:
+    def test_repeat_calls_bit_identical(self):
+        rng = np.random.default_rng(40)
+        pts = rng.uniform(0, 1, (TILED_N, 3))
+        spec = disc.KernelSpec("ctr", weights=(1.0, 0.5, 0.25))
+        weights = disc.PrefixWeights("uniform")
+        for fn in (
+            lambda: disc.discrepancy_single(spec, pts),
+            lambda: disc.discrepancy_all_prefixes(spec, pts),
+            lambda: disc.prefix_loss(spec, weights, pts),
+            lambda: disc.prefix_loss_grad(spec, weights, pts),
+        ):
+            assert np.array_equal(fn(), fn())
+
+
+class TestPointValidation:
+    ENTRY_POINTS = {
+        "discrepancy_single": lambda pts: disc.discrepancy_single(disc.KernelSpec("star"), pts),
+        "discrepancy_all_prefixes": lambda pts: disc.discrepancy_all_prefixes(
+            disc.KernelSpec("star"), pts
+        ),
+        "prefix_loss": lambda pts: disc.prefix_loss(
+            disc.KernelSpec("star"), disc.PrefixWeights("uniform"), pts
+        ),
+        "prefix_loss_grad": lambda pts: disc.prefix_loss_grad(
+            disc.KernelSpec("star"), disc.PrefixWeights("uniform"), pts
+        ),
+    }
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "bad, match",
+        [(np.nan, "non-finite"), (np.inf, "non-finite"), (3.0, "unit cube"), (-0.25, "unit cube")],
+    )
+    def test_rejects_bad_point(self, entry, bad, match):
+        pts = np.random.default_rng(41).uniform(0, 1, (6, 2))
+        pts[3, 1] = bad
+        with pytest.raises(ValueError, match=match):
+            self.ENTRY_POINTS[entry](pts)
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_accepts_cube_faces(self, entry):
+        pts = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
+        assert np.isfinite(self.ENTRY_POINTS[entry](pts)).all()

@@ -315,6 +315,19 @@ class TestPointFiles:
         with pytest.raises(ValueError, match="magic"):
             sq.load_points_bin(path)
 
+    def test_shorter_than_header(self, tmp_path):
+        path = tmp_path / "stub.bin"
+        path.write_bytes(b"LDP1\x01\0\0")
+        with pytest.raises(ValueError, match="stub.bin.*header"):
+            sq.load_points_bin(path)
+
+    def test_body_not_whole_float64(self, tmp_path):
+        path = tmp_path / "ragged.bin"
+        sq.save_points_bin(np.zeros((2, 3)), path)
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(ValueError, match="ragged.bin.*float64"):
+            sq.load_points_bin(path)
+
 
 class TestSplitSeed:
     def test_stable(self):

@@ -179,6 +179,24 @@ class TestFinetune:
         with pytest.raises(tr.CollapseError, match="collapsed"):
             tr.finetune(model, cfg)
 
+    def test_divergence_restores_epoch0_checkpoint(self, monkeypatch):
+        cfg = small_cfg()
+        model, _ = tr.pretrain(cfg)
+        before = model.copy_params()
+        real_step = nn.adam_step
+
+        def poisoned_step(state, params, grads, lr):
+            real_step(state, params, grads, lr)
+            for p in params:
+                p[...] = np.nan
+
+        monkeypatch.setattr(nn, "adam_step", poisoned_step)
+        tuned, log = tr.finetune(model, cfg)
+        assert any("finetune diverged" in note for note in log.notes)
+        assert [r.epoch for r in log.records] == [0]
+        for a, b in zip(tuned.params(), before):
+            np.testing.assert_array_equal(a, b)
+
     def test_dimension_mismatch(self):
         model, _ = tr.pretrain(small_cfg(dim=2))
         with pytest.raises(ValueError, match="dimension"):
