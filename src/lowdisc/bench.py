@@ -48,7 +48,9 @@ class BoreholeSpec:
 
     def scale(self, u: np.ndarray) -> np.ndarray:
         bounds = np.asarray(self.ranges)
-        return bounds[:, 0] + u * (bounds[:, 1] - bounds[:, 0])
+        x = u * (bounds[:, 1] - bounds[:, 0])
+        x += bounds[:, 0]
+        return x
 
 
 def borehole(u, spec: BoreholeSpec = BoreholeSpec()) -> np.ndarray:

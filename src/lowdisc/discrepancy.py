@@ -219,12 +219,12 @@ def _kernel_cross(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def kernel_eval(spec: KernelSpec, x, y) -> float:
     """The d-dimensional product kernel at a single pair of points."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    x = _as_points(np.reshape(x, (1, -1)))
+    y = _as_points(np.reshape(y, (1, -1)))
     if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    spec._check_dim(x.size)
-    return float(_kernel_cross(spec, x[None, :], y[None, :])[0, 0])
+        raise ValueError(f"dimension mismatch: {x.shape[1:]} vs {y.shape[1:]}")
+    spec._check_dim(x.shape[1])
+    return float(_kernel_cross(spec, x, y)[0, 0])
 
 
 # Pair terms are evaluated tile by tile over the lower triangle of the

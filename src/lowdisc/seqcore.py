@@ -5,6 +5,19 @@ Every generator is a pure, stateless map from an integer index to a point,
 so prefixes are extensible and calls are trivially thread-safe.  Point sets
 travel between modules as plain ``(n, d)`` float64 arrays with coordinates
 in ``[0, 1)``.
+
+The kernels are vectorized without changing a bit of their output:
+
+* Sobol': a run of consecutive indices (what :func:`generate` and the
+  ``scramble`` command pass) is filled by the Antonov-Saleev recurrence
+  ``x_i = x_{i-1} ^ V[ctz(i)]``, one gather and one prefix XOR per row
+  block; any other index array takes the random-access loop over the bits
+  of each Gray code.
+* Owen scrambling: the flips of the top ``K`` bits depend on those bits
+  alone, so they come from a ``2^K``-entry prefix table per coordinate;
+  only the lower levels are hashed, for all coordinates at once.
+* Halton: digits come off in row blocks with reused buffers, adding
+  ``digit * scale`` in the same order as :func:`radical_inverse`.
 """
 
 from __future__ import annotations
@@ -26,6 +39,13 @@ RANDOMIZED_KINDS = ("sobol-scrambled", "uniform")
 
 _U64 = np.uint64
 _MASK64 = (1 << 64) - 1
+
+# Rows per block of the generator kernels.  The Sobol' and Owen blocks hold
+# a few (4096, d) uint64 buffers, a few hundred KB that stay in cache across
+# passes; larger blocks were slower.  The Halton buffers are 1-D, and taller
+# blocks cut the Python overhead of its per-base, per-digit loop.
+_BLOCK_ROWS = 4096
+_HALTON_ROWS = 1 << 14
 
 
 def split_seed(seed: int, *labels) -> int:
@@ -69,6 +89,16 @@ def primes(n: int) -> list[int]:
     return _prime_cache[:n]
 
 
+def _index_array(indices) -> np.ndarray:
+    """Sequence indices as a 1-D nonnegative int64 array."""
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.ndim != 1:
+        raise ValueError(f"indices must be a 1-D array, got shape {idx.shape}")
+    if idx.size and idx.min() < 0:
+        raise ValueError("indices must be nonnegative")
+    return idx
+
+
 # ---------------------------------------------------------------------------
 # radical inverse / Halton
 
@@ -87,19 +117,51 @@ def radical_inverse(i: int, base: int) -> float:
     return x
 
 
+def _radical_inverse_into(rem, base: int, out, quot, term) -> None:
+    """Add the radical inverse of the int64 indices ``rem`` into ``out``.
+
+    ``rem`` is consumed; ``quot`` and ``term`` are scratch of the same size.
+    Digits come off least-significant first and each adds ``digit * scale``
+    to ``out`` in the order :func:`radical_inverse` adds them, so every value
+    is bit-identical to the scalar one.  The loop stops once the largest
+    index is used up; further passes would only add 0.0.
+    """
+    scale = 1.0 / base
+    while rem.any():
+        np.floor_divide(rem, base, out=quot)
+        np.multiply(quot, base, out=term)
+        np.subtract(rem, term, out=term)  # the digit
+        rem, quot = quot, rem
+        np.multiply(term, scale, out=term)
+        out += term
+        scale /= base
+
+
 def radical_inverse_many(indices, base: int) -> np.ndarray:
     """Vectorized :func:`radical_inverse` over an index array."""
     if base < 2:
         raise ValueError(f"radical inverse needs base >= 2, got {base}")
-    rem = np.asarray(indices, dtype=np.int64).copy()
-    if rem.size and rem.min() < 0:
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.size and idx.min() < 0:
         raise ValueError("indices must be nonnegative")
-    out = np.zeros(rem.shape, dtype=np.float64)
-    scale = 1.0 / base
-    while rem.any():
-        rem, digit = np.divmod(rem, base)
-        out += digit * scale
-        scale /= base
+    return _radical_inverse_columns(idx.reshape(-1), (base,)).reshape(idx.shape)
+
+
+def _radical_inverse_columns(idx: np.ndarray, bases) -> np.ndarray:
+    """``(n, len(bases))`` radical inverses of the 1-D int64 ``idx``, computed
+    in row blocks of ``_HALTON_ROWS`` with scratch buffers reused across them."""
+    n = idx.size
+    out = np.empty((n, len(bases)), dtype=np.float64)
+    rows = min(n, _HALTON_ROWS)
+    rem, quot = np.empty(rows, dtype=np.int64), np.empty(rows, dtype=np.int64)
+    term, acc = np.empty(rows, dtype=np.float64), np.empty(rows, dtype=np.float64)
+    for lo in range(0, n, _HALTON_ROWS):
+        m = min(n - lo, _HALTON_ROWS)
+        for j, base in enumerate(bases):
+            np.copyto(rem[:m], idx[lo : lo + m])
+            acc[:m] = 0.0
+            _radical_inverse_into(rem[:m], base, acc[:m], quot[:m], term[:m])
+            out[lo : lo + m, j] = acc[:m]
     return out
 
 
@@ -111,8 +173,11 @@ def halton_point(i: int, dim: int) -> np.ndarray:
 
 
 def halton_points(indices, dim: int) -> np.ndarray:
-    bases = primes(dim)
-    return np.stack([radical_inverse_many(indices, b) for b in bases], axis=1)
+    """``(n, dim)`` Halton points for a 1-D index array."""
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    idx = _index_array(indices)
+    return _radical_inverse_columns(idx, primes(dim))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +316,9 @@ def _direction_matrix(table: DirectionTable, dim: int, bits: int) -> np.ndarray:
 def sobol_raw(indices, dim: int, table: DirectionTable | None = None) -> np.ndarray:
     """Sobol' points as ``(n, dim)`` 32-bit integer fractions (times 2^32).
 
-    Index ``i`` selects direction integers by the bits of its Gray code.
+    Index ``i`` selects direction integers by the bits of its Gray code.  A
+    run of consecutive indices takes the Gray-code recurrence
+    (:func:`_sobol_range`); any other index array the random-access loop.
     """
     table = table or DirectionTable.embedded()
     if dim < 1:
@@ -261,21 +328,50 @@ def sobol_raw(indices, dim: int, table: DirectionTable | None = None) -> np.ndar
             f"dimension {dim} exceeds the direction table "
             f"(max supported dimension {table.max_dim})"
         )
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size and idx.min() < 0:
-        raise ValueError("indices must be nonnegative")
+    idx = _index_array(indices)
     if idx.size and idx.max() >= (1 << SOBOL_BITS):
         raise ValueError(f"indices must be < 2^{SOBOL_BITS} at word width {SOBOL_BITS}")
-    g = gray_code(idx.astype(np.uint64))
     V = _direction_matrix(table, dim, SOBOL_BITS)
-    acc = np.zeros((idx.size, dim), dtype=np.uint64)
-    for k in range(SOBOL_BITS):
+    n = idx.size
+    if n > 1 and idx[-1] - idx[0] == n - 1 and (idx[1:] > idx[:-1]).all():
+        return _sobol_range(int(idx[0]), n, V)
+    return _sobol_random_access(idx, V)
+
+
+def _sobol_random_access(idx: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """XOR of the direction integers selected by each index's Gray code."""
+    g = gray_code(idx.astype(np.uint64))
+    acc = np.zeros((idx.size, V.shape[0]), dtype=np.uint64)
+    for k in range(V.shape[1]):
         remaining = g >> _U64(k)
         if not remaining.any():
             break
         sel = (remaining & _U64(1)).astype(bool)
         acc[sel] ^= V[:, k]
     return acc
+
+
+def _sobol_range(start: int, n: int, V: np.ndarray) -> np.ndarray:
+    """Points ``start .. start + n - 1`` by the Antonov-Saleev recurrence.
+
+    The Gray codes of ``i - 1`` and ``i`` differ only in bit ``ctz(i)``, so
+    ``x_i = x_{i-1} ^ V[:, ctz(i)]``.  Each row block gathers its direction
+    words, XORs the previous block's last point into its first row and
+    prefix-XORs down the rows; blocks keep the accumulate's overlap copy
+    small.
+    """
+    out = np.empty((n, V.shape[0]), dtype=np.uint64)
+    out[0] = _sobol_random_access(np.array([start], dtype=np.int64), V)[0]
+    VT = np.ascontiguousarray(V.T)
+    for lo in range(1, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        i = np.arange(start + lo, start + hi, dtype=np.int64)
+        ctz = np.bitwise_count((i & -i) - 1)
+        block = out[lo:hi]
+        np.take(VT, ctz, axis=0, out=block)
+        block[0] ^= out[lo - 1]
+        np.bitwise_xor.accumulate(block, axis=0, out=block)
+    return out
 
 
 def sobol_points(indices, dim: int, table: DirectionTable | None = None) -> np.ndarray:
@@ -301,43 +397,114 @@ def _splitmix64(x):
         return z ^ (z >> _U64(31))
 
 
+def _splitmix64_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """:func:`_splitmix64` of the uint64 array ``z``, overwriting it; ``tmp``
+    is scratch of the same shape."""
+    z += _U64(0x9E3779B97F4A7C15)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        np.right_shift(z, _U64(shift), out=tmp)
+        z ^= tmp
+        z *= _U64(mult)
+    np.right_shift(z, _U64(31), out=tmp)
+    z ^= tmp
+    return z
+
+
+def _column_keys(seed: int, d: int, stride: int) -> np.ndarray:
+    """Per-coordinate hash keys ``splitmix(splitmix(seed) ^ (j+1) * stride)``."""
+    seed_key = _splitmix64(_U64(seed & _MASK64))
+    mixed = np.array([(j + 1) * stride & _MASK64 for j in range(d)], dtype=np.uint64)
+    return _splitmix64(seed_key ^ mixed)
+
+
+def _flip_table(dim_key, depth: int) -> np.ndarray:
+    """Flip masks of the top ``depth`` bits for every ``depth``-bit prefix.
+
+    Entry ``q`` holds the flip of level ``k`` at bit ``depth - k``.  Level
+    ``k`` hashes only its ``2^(k-1)`` distinct prefixes, and each entry of
+    the level below inherits the flips of its parent ``q >> 1``.
+    """
+    table = np.zeros(1, dtype=np.uint32)
+    for k in range(1, depth + 1):
+        level_key = _splitmix64(dim_key ^ _U64(k))
+        prefixes = np.arange(1 << (k - 1), dtype=np.uint64)
+        flips = (_splitmix64(level_key ^ prefixes) & _U64(1)).astype(np.uint32)
+        table = np.repeat((table << np.uint32(1)) | flips, 2)
+    return table
+
+
 def owen_scramble(raw, seed: int, bits: int = SOBOL_BITS) -> np.ndarray:
     """Nested uniform scrambling of base-2 digital points.
 
-    ``raw`` holds ``(n, d)`` integer fractions with ``bits`` known bits.  The
-    flip of bit ``k`` of a coordinate is a hash of (seed, dimension, level,
-    the k-1 more-significant bits), so equal prefixes always receive equal
-    flips and no permutation tree needs to be stored.
+    ``raw`` holds ``(n, d)`` nonnegative integer fractions below ``2^bits``.
+    The flip of bit ``k`` of a coordinate is a hash of (seed, dimension,
+    level, the k-1 more-significant bits), so equal prefixes always receive
+    equal flips and no permutation tree needs to be stored.  The flips of
+    the top ``K = min(bits, bit_length(n - 1), 20)`` bits depend on those
+    bits alone; they come from one table per coordinate
+    (:func:`_flip_table`, about ``2^K`` hashes) by a gather, and the lower
+    levels are hashed for all coordinates at once in row blocks.
     """
-    raw = np.ascontiguousarray(raw, dtype=np.uint64)
+    raw = np.asarray(raw)
     if raw.ndim != 2:
-        raise ValueError("raw must be an (n, d) array")
+        raise ValueError(f"raw must be an (n, d) array, got shape {raw.shape}")
+    if not np.issubdtype(raw.dtype, np.integer):
+        raise ValueError(f"raw must hold integers, got dtype {raw.dtype}")
+    if not 1 <= bits <= 63:
+        raise ValueError(f"bits must be in 1..63, got {bits}")
+    if raw.size and raw.min() < 0:
+        raise ValueError("raw must be nonnegative")
+    if raw.size and int(raw.max()) >= (1 << bits):
+        raise ValueError(f"raw values must be < 2^{bits}")
     n, d = raw.shape
-    out = np.zeros_like(raw)
-    seed_key = _splitmix64(_U64(seed & _MASK64))
-    for j in range(d):
-        col = raw[:, j]
-        dim_key = _splitmix64(seed_key ^ _U64((j + 1) * 0x9E3779B97F4A7C15 & _MASK64))
-        scrambled = np.zeros(n, dtype=np.uint64)
-        for k in range(1, bits + 1):
-            level_key = _splitmix64(dim_key ^ _U64(k))
-            prefix = col >> _U64(bits - k + 1)
-            flip = _splitmix64(level_key ^ prefix) & _U64(1)
-            bit = (col >> _U64(bits - k)) & _U64(1)
-            scrambled |= (bit ^ flip) << _U64(bits - k)
-        out[:, j] = scrambled
-    return out * 2.0**-bits
+    out = np.empty((n, d), dtype=np.float64)
+    if not raw.size:
+        return out
+    dim_keys = _column_keys(seed, d, 0x9E3779B97F4A7C15)
+    depth = min(bits, (n - 1).bit_length(), 20)
+    tables = np.concatenate([_flip_table(key, depth) for key in dim_keys])
+    # offset of each coordinate's table, added to the prefix it is indexed by
+    offsets = np.arange(d, dtype=np.uint64) << _U64(depth)
+    levels = [(k, _splitmix64(dim_keys ^ _U64(k))) for k in range(depth + 1, bits + 1)]
+    rows = min(n, _BLOCK_ROWS)
+    mask, h, tmp = (np.empty((rows, d), dtype=np.uint64) for _ in range(3))
+    top = np.empty((rows, d), dtype=np.uint32)
+    for lo in range(0, n, _BLOCK_ROWS):
+        m = min(n - lo, _BLOCK_ROWS)
+        x = raw[lo : lo + m].astype(np.uint64, copy=False)
+        bm, bh, bt = mask[:m], h[:m], tmp[:m]
+        np.right_shift(x, _U64(bits - depth), out=bh)
+        bh += offsets
+        np.take(tables, bh, out=top[:m])
+        np.left_shift(top[:m], _U64(bits - depth), out=bm)
+        for k, level_keys in levels:
+            np.right_shift(x, _U64(bits - k + 1), out=bh)
+            bh ^= level_keys
+            _splitmix64_inplace(bh, bt)
+            bh &= _U64(1)
+            bh <<= _U64(bits - k)
+            bm ^= bh
+        bm ^= x
+        np.multiply(bm, 2.0**-bits, out=out[lo : lo + m])
+    return out
 
 
 def _uniform_points(indices, dim: int, seed: int) -> np.ndarray:
     """Counter-based uniform variates: a pure hash of (seed, index, coord)."""
-    idx = np.asarray(indices, dtype=np.uint64)
-    out = np.empty((idx.size, dim), dtype=np.float64)
-    seed_key = _splitmix64(_U64(seed & _MASK64))
-    for j in range(dim):
-        dim_key = _splitmix64(seed_key ^ _U64((j + 1) * 0xD1B54A32D192ED03 & _MASK64))
-        h = _splitmix64(dim_key ^ (idx * _U64(0x9E3779B97F4A7C15)))
-        out[:, j] = (h >> _U64(11)) * 2.0**-53
+    idx = np.asarray(indices, dtype=np.uint64).reshape(-1, 1)
+    n = idx.shape[0]
+    out = np.empty((n, dim), dtype=np.float64)
+    dim_keys = _column_keys(seed, dim, 0xD1B54A32D192ED03)
+    rows = min(n, _BLOCK_ROWS)
+    h, tmp = np.empty((rows, dim), dtype=np.uint64), np.empty((rows, dim), dtype=np.uint64)
+    for lo in range(0, n, _BLOCK_ROWS):
+        m = min(n - lo, _BLOCK_ROWS)
+        bh = h[:m]
+        np.multiply(idx[lo : lo + m], _U64(0x9E3779B97F4A7C15), out=bh)
+        bh ^= dim_keys
+        _splitmix64_inplace(bh, tmp[:m])
+        bh >>= _U64(11)
+        np.multiply(bh, 2.0**-53, out=out[lo : lo + m])
     return out
 
 
@@ -420,6 +587,9 @@ def save_points_csv(points: np.ndarray, path) -> None:
 
 
 def load_points_csv(path) -> np.ndarray:
+    with open(path, "rb") as fh:
+        if not any(line.strip() for line in fh):
+            raise ValueError(f"{path}: point file is empty")
     return np.loadtxt(path, delimiter=",", ndmin=2)
 
 

@@ -222,10 +222,15 @@ def finetune(model: neuralnet.MlpModel, cfg: TrainConfig):
         return points, discrepancy.prefix_loss(kspec, weights, points)
 
     points, loss = evaluate()
-    _check_collapse(points)
+    epochs = cfg.finetune_epochs
+    if np.isfinite(loss):
+        _check_collapse(points)
+    else:
+        log.notes.append("finetune diverged at epoch 0: the starting model gives a non-finite loss; returned it unchanged")
+        epochs = 0
     best_loss, best_params = loss, model.copy_params()
     log.append("finetune", 0, loss, cosine_lr(cfg.finetune_lr, cfg.final_lr_ratio, 0, cfg.finetune_epochs), 0.0)
-    for epoch in range(1, cfg.finetune_epochs + 1):
+    for epoch in range(1, epochs + 1):
         lr = cosine_lr(cfg.finetune_lr, cfg.final_lr_ratio, epoch - 1, cfg.finetune_epochs)
         out, acts = neuralnet._forward_encoded(model, enc)
         upstream = discrepancy.prefix_loss_grad(kspec, weights, out)

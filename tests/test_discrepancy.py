@@ -564,6 +564,9 @@ class TestPointValidation:
         "prefix_loss_grad": lambda pts: disc.prefix_loss_grad(
             disc.KernelSpec("star"), disc.PrefixWeights("uniform"), pts
         ),
+        "kernel_eval": lambda pts: disc.kernel_eval(
+            disc.KernelSpec("star"), pts[0], pts[len(pts) // 2]
+        ),
     }
 
     @pytest.mark.parametrize("entry", list(ENTRY_POINTS))

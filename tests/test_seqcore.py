@@ -15,6 +15,51 @@ def brute_radical_inverse(i, base):
     return sum(d * base ** -(k + 1) for k, d in enumerate(digits))
 
 
+def reference_sobol_raw(indices, dim):
+    """Random-access reference: XOR the direction integers selected by the
+    bits of each index's Gray code, one masked pass per bit."""
+    V = sq._direction_matrix(sq.DirectionTable.embedded(), dim, sq.SOBOL_BITS)
+    g = sq.gray_code(np.asarray(indices, dtype=np.uint64))
+    acc = np.zeros((g.size, dim), dtype=np.uint64)
+    for k in range(sq.SOBOL_BITS):
+        remaining = g >> np.uint64(k)
+        if not remaining.any():
+            break
+        sel = (remaining & np.uint64(1)).astype(bool)
+        acc[sel] ^= V[:, k]
+    return acc
+
+
+def reference_owen_scramble(raw, seed, bits=sq.SOBOL_BITS):
+    """Reference: one pass per coordinate and level, where the flip of bit
+    k hashes the k-1 bits above it."""
+    mix, u64 = sq._splitmix64, np.uint64
+    raw = np.ascontiguousarray(raw, dtype=np.uint64)
+    out = np.zeros_like(raw)
+    seed_key = mix(u64(seed & sq._MASK64))
+    for j in range(raw.shape[1]):
+        col = raw[:, j]
+        dim_key = mix(seed_key ^ u64((j + 1) * 0x9E3779B97F4A7C15 & sq._MASK64))
+        for k in range(1, bits + 1):
+            level_key = mix(dim_key ^ u64(k))
+            flip = mix(level_key ^ (col >> u64(bits - k + 1))) & u64(1)
+            bit = (col >> u64(bits - k)) & u64(1)
+            out[:, j] |= (bit ^ flip) << u64(bits - k)
+    return out * 2.0**-bits
+
+
+def reference_uniform_points(indices, dim, seed):
+    """Reference: the counter-based uniform baseline, one coordinate at a time."""
+    mix, u64 = sq._splitmix64, np.uint64
+    idx = np.asarray(indices, dtype=np.uint64)
+    out = np.empty((idx.size, dim))
+    seed_key = mix(u64(seed & sq._MASK64))
+    for j in range(dim):
+        dim_key = mix(seed_key ^ u64((j + 1) * 0xD1B54A32D192ED03 & sq._MASK64))
+        out[:, j] = (mix(dim_key ^ (idx * u64(0x9E3779B97F4A7C15))) >> u64(11)) * 2.0**-53
+    return out
+
+
 class TestRadicalInverse:
     def test_single_digit_reflection(self):
         assert sq.radical_inverse(1, 2) == 0.5
@@ -55,6 +100,11 @@ class TestRadicalInverse:
         with pytest.raises(ValueError):
             sq.radical_inverse(3, 1)
 
+    def test_keeps_index_shape(self):
+        idx = np.arange(12).reshape(3, 4)
+        ref = [[sq.radical_inverse(int(i), 3) for i in row] for row in idx]
+        np.testing.assert_array_equal(sq.radical_inverse_many(idx, 3), ref)
+
 
 class TestHalton:
     def test_zero_index_is_origin(self):
@@ -83,6 +133,25 @@ class TestHalton:
         bins = np.rint(scaled).astype(int)
         np.testing.assert_allclose(scaled, bins, atol=1e-9)
         assert sorted(bins) == list(range(n))
+
+    @pytest.mark.parametrize("start", [0, 10**6, 2**40])
+    def test_matches_scalar_across_block_edge(self, start):
+        # rows on both sides of a block edge; the spread of digit counts in
+        # one block ends its digit loop at a different pass than its neighbour's
+        rows = sq._HALTON_ROWS
+        idx = np.arange(start + rows - 40, start + rows + 40)
+        idx[::7] = np.random.default_rng(start % 97).integers(0, 2**45, size=idx[::7].size)
+        pts = sq.halton_points(np.concatenate([np.arange(rows - 80), idx]), 5)[rows - 80 :]
+        ref = [[sq.radical_inverse(int(i), b) for b in sq.primes(5)] for i in idx]
+        np.testing.assert_array_equal(pts, ref)
+
+    def test_bad_arguments(self):
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            sq.halton_points(np.arange(4), 0)
+        with pytest.raises(ValueError, match="1-D"):
+            sq.halton_points(np.arange(4).reshape(2, 2), 2)
+        with pytest.raises(ValueError, match="nonnegative"):
+            sq.halton_points([3, -1], 2)
 
 
 class TestGrayCode:
@@ -156,6 +225,48 @@ class TestSobol:
             sq.sobol_points(np.arange(64), 16),
         )
 
+    B = sq._BLOCK_ROWS
+
+    @pytest.mark.parametrize("start", [0, 1, 128, 2**31 - 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, B - 1, B, B + 1, B + 2, 2 * B + 1])
+    def test_range_matches_random_access(self, start, n):
+        idx = np.arange(start, start + n)
+        np.testing.assert_array_equal(sq.sobol_raw(idx, 16), reference_sobol_raw(idx, 16))
+
+    @pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1])
+    def test_range_ending_at_last_index(self, n):
+        idx = np.arange(2**sq.SOBOL_BITS - n, 2**sq.SOBOL_BITS)
+        np.testing.assert_array_equal(sq.sobol_raw(idx, 7), reference_sobol_raw(idx, 7))
+
+    @pytest.mark.parametrize("k", [3, 12, 13, 20])
+    def test_range_across_power_of_two(self, k):
+        idx = np.arange(2**k - 5, 2**k + self.B + 3)
+        np.testing.assert_array_equal(sq.sobol_raw(idx, 16), reference_sobol_raw(idx, 16))
+
+    @pytest.mark.parametrize(
+        "idx",
+        [
+            np.arange(50, 0, -1),
+            np.array([0, 2, 1, 3]),  # spans n - 1 but is not increasing
+            np.arange(0, 200, 2),
+            np.r_[np.arange(10), np.arange(11, 20)],
+            np.array([7, 7, 7]),
+            np.random.default_rng(2).integers(0, 2**32, size=300),
+            np.array([], dtype=np.int64),
+        ],
+        ids=["reversed", "permuted", "stride-2", "gap", "repeated", "random", "empty"],
+    )
+    def test_other_index_arrays_take_random_access(self, idx):
+        np.testing.assert_array_equal(sq.sobol_raw(idx, 5), reference_sobol_raw(idx, 5))
+
+    def test_bad_indices(self):
+        with pytest.raises(ValueError, match="1-D"):
+            sq.sobol_raw(np.arange(4).reshape(2, 2), 3)
+        with pytest.raises(ValueError, match="nonnegative"):
+            sq.sobol_raw([2, -1], 3)
+        with pytest.raises(ValueError, match="< 2"):
+            sq.sobol_raw([2**32], 3)
+
     def test_table_invariants_enforced(self):
         with pytest.raises(ValueError, match="odd"):
             sq.DirectionTable(degrees=(2,), coeffs=(1,), initials=((1, 2),))
@@ -201,6 +312,54 @@ class TestOwenScramble:
         raw = sq.sobol_raw(np.arange(512), 6)
         pts = sq.owen_scramble(raw, seed=3)
         assert pts.min() >= 0.0 and pts.max() < 1.0
+
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, 4, 5, 2**10 - 1, 2**10, 2**10 + 1, 2**14 + 1, 2**20, 2**20 + 1]
+    )
+    def test_matches_per_level_loop(self, n):
+        # n sets the prefix-table depth K = bit_length(n - 1), capped at 20
+        d = 1 if n > 2**14 + 1 else 4
+        raw = sq.sobol_raw(np.arange(n), d)
+        np.testing.assert_array_equal(
+            sq.owen_scramble(raw, 2024), reference_owen_scramble(raw, 2024)
+        )
+
+    @pytest.mark.parametrize("bits", [1, 8, 20, 32, 63])
+    @pytest.mark.parametrize("n, d", [(1, 16), (7, 3), (1000, 16), (5000, 2)])
+    def test_random_words_match_per_level_loop(self, bits, n, d):
+        rng = np.random.default_rng(bits * 1000 + n)
+        raw = rng.integers(0, 2**bits, size=(n, d), dtype=np.uint64)
+        for seed in (0, -3, 2**64 + 5):
+            np.testing.assert_array_equal(
+                sq.owen_scramble(raw, seed, bits), reference_owen_scramble(raw, seed, bits)
+            )
+
+    def test_signed_integers_accepted(self):
+        raw = sq.sobol_raw(np.arange(64), 3)
+        np.testing.assert_array_equal(
+            sq.owen_scramble(raw.astype(np.int64), 8), sq.owen_scramble(raw, 8)
+        )
+
+    def test_empty(self):
+        assert sq.owen_scramble(np.zeros((0, 3), dtype=np.uint64), 1).shape == (0, 3)
+
+    @pytest.mark.parametrize(
+        "raw, bits, match",
+        [
+            (np.arange(8, dtype=np.uint64), 32, r"\(n, d\)"),
+            (np.full((2, 2), 0.5), 32, "integers"),
+            (np.array([[1, -1]]), 32, "nonnegative"),
+            (np.array([[1, 2**32]], dtype=np.uint64), 32, "< 2\\^32"),
+            (np.array([[1, 256]]), 8, "< 2\\^8"),
+            (np.array([[1, 2]]), 0, "bits"),
+            (np.array([[1, 2]]), 64, "bits"),
+            (np.array([[1, 2]]), 70, "bits"),
+        ],
+        ids=["1-D", "float", "negative", "too-wide-32", "too-wide-8", "bits-0", "bits-64", "bits-70"],
+    )
+    def test_rejects_bad_input(self, raw, bits, match):
+        with pytest.raises(ValueError, match=match):
+            sq.owen_scramble(raw, 1, bits)
 
     def test_mean_star_discrepancy_published_value(self):
         # published mean over 32 scramblings: 0.001818 (d=4, N=1000,
@@ -248,6 +407,14 @@ class TestGenerate:
         small = sq.generate(spec, 17)
         big = sq.generate(spec, 60)
         np.testing.assert_array_equal(small, big[:17])
+
+    @pytest.mark.parametrize("n", [1, 5, sq._BLOCK_ROWS + 3])
+    def test_uniform_matches_per_coordinate_form(self, n):
+        idx = np.arange(11, 11 + n)
+        np.testing.assert_array_equal(
+            sq.generate(sq.SequenceSpec("uniform", 6, burn_in=11, seed=5), n),
+            reference_uniform_points(idx, 6, 5),
+        )
 
     def test_classical_range_half_open(self):
         for spec in [
@@ -308,6 +475,13 @@ class TestPointFiles:
         sq.save_points_bin(pts, tmp_path / "a.bin")
         np.testing.assert_array_equal(sq.load_points(tmp_path / "a.csv"), pts)
         np.testing.assert_array_equal(sq.load_points(tmp_path / "a.bin"), pts)
+
+    @pytest.mark.parametrize("content", ["", "\n", "  \n\t\n"], ids=["empty", "newline", "blank"])
+    def test_empty_csv(self, tmp_path, content):
+        path = tmp_path / "nothing.csv"
+        path.write_text(content)
+        with pytest.raises(ValueError, match="nothing.csv.*empty"):
+            sq.load_points(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"

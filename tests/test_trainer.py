@@ -197,6 +197,16 @@ class TestFinetune:
         for a, b in zip(tuned.params(), before):
             np.testing.assert_array_equal(a, b)
 
+    def test_nonfinite_starting_model_is_returned_with_a_note(self):
+        cfg = small_cfg(pretrain_epochs=1)
+        model, _ = tr.pretrain(cfg)
+        for p in model.params():
+            p[...] = np.nan
+        tuned, log = tr.finetune(model, cfg)
+        assert any("finetune diverged at epoch 0" in note for note in log.notes)
+        assert [r.epoch for r in log.records] == [0]
+        assert all(np.isnan(p).all() for p in tuned.params())
+
     def test_dimension_mismatch(self):
         model, _ = tr.pretrain(small_cfg(dim=2))
         with pytest.raises(ValueError, match="dimension"):
