@@ -49,12 +49,12 @@ def _cmd_generate(args) -> None:
 
 
 def _cmd_scramble(args) -> None:
-    idx = np.arange(args.burn_in, args.burn_in + args.n)
-    raw = seqcore.sobol_raw(idx, args.dim)
     if args.seed is None:
         raise ValueError("scramble needs --seed")
-    points = seqcore.owen_scramble(raw, seqcore.split_seed(args.seed, "scramble"))
-    _save_points(points, args.out, args.format)
+    spec = SequenceSpec(
+        "sobol-scrambled", args.dim, burn_in=args.burn_in, seed=seqcore.split_seed(args.seed, "scramble")
+    )
+    _save_points(seqcore.generate(spec, args.n), args.out, args.format)
 
 
 def _cmd_disc(args) -> None:
@@ -79,6 +79,8 @@ def _cmd_train(args) -> None:
     if args.seed is not None:
         cfg.seed = args.seed
     model, log = trainer.train_full(cfg)
+    for note in log.notes:
+        print(f"note: {note}", file=sys.stderr)
     neuralnet.save_model(model, args.out_model)
     if args.log:
         log.write_csv(args.log)

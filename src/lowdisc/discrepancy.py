@@ -178,17 +178,10 @@ def kernel_constant(spec: KernelSpec, d: int) -> float:
     return float(np.prod([1.0 + g * c for g in spec.weights]))
 
 
-def _b_products(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:
-    fam = KERNELS[spec.family]
-    vals = fam.b(pts)
-    if spec.weights is not None:
-        vals = 1.0 + np.asarray(spec.weights) * vals
-    return vals.prod(axis=1)
-
-
-def _kdiag_products(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:
-    fam = KERNELS[spec.family]
-    vals = fam.kdiag(pts)
+def _products(spec: KernelSpec, piece: str, pts: np.ndarray) -> np.ndarray:
+    """Per-point product over the coordinates of the one-dimensional
+    ``piece`` (``"b"`` or ``"kdiag"``), weighted as in the kernel."""
+    vals = getattr(KERNELS[spec.family], piece)(pts)
     if spec.weights is not None:
         vals = 1.0 + np.asarray(spec.weights) * vals
     return vals.prod(axis=1)
@@ -295,9 +288,9 @@ def discrepancy_single(spec: KernelSpec, points) -> float:
     n, d = pts.shape
     spec._check_dim(d)
     c0 = kernel_constant(spec, d)
-    b = _b_products(spec, pts)
+    b = _products(spec, "b", pts)
     r = _pair_rowsums(spec, pts)
-    kd = _kdiag_products(spec, pts)
+    kd = _products(spec, "kdiag", pts)
     d2 = c0 - 2.0 * b.sum() / n + (2.0 * r.sum() + kd.sum()) / n**2
     return float(_sqrt_clamped(d2))
 
@@ -312,9 +305,9 @@ def discrepancy_all_prefixes(spec: KernelSpec, points) -> np.ndarray:
     n, d = pts.shape
     spec._check_dim(d)
     c0 = kernel_constant(spec, d)
-    b = _b_products(spec, pts)
+    b = _products(spec, "b", pts)
     r = _pair_rowsums(spec, pts)
-    kd = _kdiag_products(spec, pts)
+    kd = _products(spec, "kdiag", pts)
     s1 = _kahan_cumsum(b)
     s2 = _kahan_cumsum(2.0 * r + kd)
     p = np.arange(1, n + 1, dtype=np.float64)
@@ -401,9 +394,9 @@ def prefix_loss(spec: KernelSpec, weights: PrefixWeights, points) -> float:
     spec._check_dim(d)
     w, alpha, beta = _loss_coefficients(weights, n)
     c0 = kernel_constant(spec, d)
-    b = _b_products(spec, pts)
+    b = _products(spec, "b", pts)
     r = _pair_rowsums(spec, pts)
-    kd = _kdiag_products(spec, pts)
+    kd = _products(spec, "kdiag", pts)
     return float(
         w.sum() * c0 + alpha @ b + beta @ kd + 2.0 * (beta @ r)
     )

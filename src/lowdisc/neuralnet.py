@@ -146,16 +146,22 @@ def _forward_encoded(model: MlpModel, enc: np.ndarray):
     return points, acts
 
 
+def _check_extrapolation(model: MlpModel, top: int, stacklevel: int) -> None:
+    """Warn if index ``top`` lies beyond the trained normalization length."""
+    if top > model.encoding.n_norm:
+        warnings.warn(
+            f"evaluating indices up to {top} beyond the trained "
+            f"normalization length {model.encoding.n_norm}",
+            ExtrapolationWarning,
+            stacklevel=stacklevel + 1,
+        )
+
+
 def forward(model: MlpModel, indices) -> np.ndarray:
     """Batch evaluation of the index-to-point map; pure and deterministic."""
     idx = np.asarray(indices)
-    if idx.size and int(idx.max()) > model.encoding.n_norm:
-        warnings.warn(
-            f"evaluating indices up to {int(idx.max())} beyond the trained "
-            f"normalization length {model.encoding.n_norm}",
-            ExtrapolationWarning,
-            stacklevel=2,
-        )
+    if idx.size:
+        _check_extrapolation(model, int(idx.max()), stacklevel=2)
     enc = encode_indices(model.encoding, idx)
     return _forward_encoded(model, enc)[0]
 
@@ -284,16 +290,19 @@ def load_model(path) -> MlpModel:
     if version != MODEL_VERSION:
         raise ValueError(f"{path}: unsupported model version {version}")
     offset = _HEADER.size
-    dims = np.frombuffer(data, dtype="<u4", count=n_layers + 1, offset=offset).astype(int)
-    offset += 4 * (n_layers + 1)
     weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        w = np.frombuffer(data, dtype="<f8", count=fan_in * fan_out, offset=offset)
-        offset += 8 * fan_in * fan_out
-        b = np.frombuffer(data, dtype="<f8", count=fan_out, offset=offset)
-        offset += 8 * fan_out
-        weights.append(w.reshape(fan_in, fan_out).copy())
-        biases.append(b.copy())
+    try:
+        dims = np.frombuffer(data, dtype="<u4", count=n_layers + 1, offset=offset).astype(int)
+        offset += 4 * (n_layers + 1)
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            w = np.frombuffer(data, dtype="<f8", count=fan_in * fan_out, offset=offset)
+            offset += 8 * fan_in * fan_out
+            b = np.frombuffer(data, dtype="<f8", count=fan_out, offset=offset)
+            offset += 8 * fan_out
+            weights.append(w.reshape(fan_in, fan_out).copy())
+            biases.append(b.copy())
+    except ValueError as exc:  # np.frombuffer past the end of the data
+        raise ValueError(f"{path}: truncated model file ({exc})") from None
     meta = {
         "burn_in": burn_in,
         "seed": seed,

@@ -41,7 +41,6 @@ class RrtConfig:
     step: float = 0.05
     goal_tol: float = 0.08
     collision_samples: int = 16
-    sample_source: SequenceSpec | None = None
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -310,7 +309,6 @@ def _source_samples(spec: SequenceSpec, n: int, variant: int) -> np.ndarray:
         spec = SequenceSpec(
             spec.kind, spec.dim, burn_in=spec.burn_in, seed=seed
         )
-        return seqcore.generate(spec, n)
     return seqcore.generate(spec, n)
 
 

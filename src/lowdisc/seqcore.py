@@ -6,18 +6,18 @@ so prefixes are extensible and calls are trivially thread-safe.  Point sets
 travel between modules as plain ``(n, d)`` float64 arrays with coordinates
 in ``[0, 1)``.
 
+One row-block loop (:func:`_row_blocks`) makes every point set.  Each kind
+supplies a kernel that fills one block of rows from its raw indices, with
+scratch reused across blocks; :func:`generate` fills an ``(n, d)`` array
+that way and :func:`generate_blocks` streams the blocks through one buffer.
 The kernels are vectorized without changing a bit of their output:
 
-* Sobol': a run of consecutive indices (what :func:`generate` and the
-  ``scramble`` command pass) is filled by the Antonov-Saleev recurrence
-  ``x_i = x_{i-1} ^ V[ctz(i)]``, one gather and one prefix XOR per row
-  block; any other index array takes the random-access loop over the bits
-  of each Gray code.
-* Owen scrambling: the flips of the top ``K`` bits depend on those bits
-  alone, so they come from a ``2^K``-entry prefix table per coordinate;
-  only the lower levels are hashed, for all coordinates at once.
-* Halton: digits come off in row blocks with reused buffers, adding
-  ``digit * scale`` in the same order as :func:`radical_inverse`.
+* Sobol': a consecutive run takes the Antonov-Saleev recurrence
+  ``x_i = x_{i-1} ^ V[ctz(i)]``; other indices the loop over Gray-code bits.
+* Owen scrambling: the flips of the top ``K`` bits, ``K`` set by the whole
+  set's size, come from a ``2^K``-entry prefix table per coordinate; only
+  the lower levels are hashed.
+* Halton: ``digit * scale`` is added in the order of :func:`radical_inverse`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 import struct
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from hashlib import blake2b
 from pathlib import Path
 
@@ -43,9 +43,13 @@ _MASK64 = (1 << 64) - 1
 # Rows per block of the generator kernels.  The Sobol' and Owen blocks hold
 # a few (4096, d) uint64 buffers, a few hundred KB that stay in cache across
 # passes; larger blocks were slower.  The Halton buffers are 1-D, and taller
-# blocks cut the Python overhead of its per-base, per-digit loop.
+# blocks cut the Python overhead of its per-base, per-digit loop.  A neural
+# block holds its rows' activations (52 KB a row at the sym defaults); at
+# 2048 rows desk-scale models (128 hidden, d=2) changed in the last bits,
+# since OpenBLAS picks its kernel by the product sizes.
 _BLOCK_ROWS = 4096
 _HALTON_ROWS = 1 << 14
+_NEURAL_ROWS = 4096
 
 
 def split_seed(seed: int, *labels) -> int:
@@ -99,6 +103,27 @@ def _index_array(indices) -> np.ndarray:
     return idx
 
 
+def _row_blocks(n: int, d: int, rows: int, kernel, start: int = 0, source=None, out=None):
+    """The one row-block loop.  Each block of at most ``rows`` rows is filled
+    by ``kernel(idx, block)``, ``idx`` being the block's rows of ``source`` or,
+    without one, its raw indices counted from ``start``; then ``(lo, block)``
+    is yielded.  Blocks are views of ``out`` if given, else of one buffer."""
+    buf = np.empty((min(n, rows), d)) if out is None else None
+    for lo in range(0, n, rows):
+        block = out[lo : lo + rows] if out is not None else buf[: n - lo]
+        hi = lo + len(block)
+        kernel(source[lo:hi] if source is not None else np.arange(start + lo, start + hi), block)
+        yield lo, block
+
+
+def _fill_rows(n: int, d: int, rows: int, kernel, start=0, source=None, dtype=np.float64):
+    """The ``(n, d)`` array that :func:`_row_blocks` fills block by block."""
+    out = np.empty((n, d), dtype=dtype)
+    for _ in _row_blocks(n, d, rows, kernel, start, source, out):
+        pass
+    return out
+
+
 # ---------------------------------------------------------------------------
 # radical inverse / Halton
 
@@ -142,34 +167,35 @@ def radical_inverse_many(indices, base: int) -> np.ndarray:
     if base < 2:
         raise ValueError(f"radical inverse needs base >= 2, got {base}")
     idx = np.asarray(indices, dtype=np.int64)
-    if idx.size and idx.min() < 0:
-        raise ValueError("indices must be nonnegative")
-    return _radical_inverse_columns(idx.reshape(-1), (base,)).reshape(idx.shape)
+    return _radical_inverse_columns(_index_array(idx.reshape(-1)), (base,)).reshape(idx.shape)
+
+
+def _radical_inverse_kernel(bases, rows: int):
+    """``fill(idx, block)`` writes the radical inverses of the int64 ``idx``
+    in each base to the columns of ``block``, reusing scratch of ``rows``."""
+    rem, quot = np.empty(rows, dtype=np.int64), np.empty(rows, dtype=np.int64)
+    term, acc = np.empty(rows, dtype=np.float64), np.empty(rows, dtype=np.float64)
+
+    def fill(idx, block):
+        m = len(idx)
+        for j, base in enumerate(bases):
+            np.copyto(rem[:m], idx)
+            acc[:m] = 0.0
+            _radical_inverse_into(rem[:m], base, acc[:m], quot[:m], term[:m])
+            block[:, j] = acc[:m]
+
+    return fill
 
 
 def _radical_inverse_columns(idx: np.ndarray, bases) -> np.ndarray:
-    """``(n, len(bases))`` radical inverses of the 1-D int64 ``idx``, computed
-    in row blocks of ``_HALTON_ROWS`` with scratch buffers reused across them."""
-    n = idx.size
-    out = np.empty((n, len(bases)), dtype=np.float64)
-    rows = min(n, _HALTON_ROWS)
-    rem, quot = np.empty(rows, dtype=np.int64), np.empty(rows, dtype=np.int64)
-    term, acc = np.empty(rows, dtype=np.float64), np.empty(rows, dtype=np.float64)
-    for lo in range(0, n, _HALTON_ROWS):
-        m = min(n - lo, _HALTON_ROWS)
-        for j, base in enumerate(bases):
-            np.copyto(rem[:m], idx[lo : lo + m])
-            acc[:m] = 0.0
-            _radical_inverse_into(rem[:m], base, acc[:m], quot[:m], term[:m])
-            out[lo : lo + m, j] = acc[:m]
-    return out
+    """``(n, len(bases))`` radical inverses of the 1-D int64 ``idx``."""
+    fill = _radical_inverse_kernel(bases, min(idx.size, _HALTON_ROWS))
+    return _fill_rows(idx.size, len(bases), _HALTON_ROWS, fill, source=idx)
 
 
 def halton_point(i: int, dim: int) -> np.ndarray:
     """Coordinate ``j`` is the radical inverse of ``i`` in the j-th prime."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    return np.array([radical_inverse(i, b) for b in primes(dim)])
+    return halton_points([i], dim)[0]
 
 
 def halton_points(indices, dim: int) -> np.ndarray:
@@ -313,13 +339,9 @@ def _direction_matrix(table: DirectionTable, dim: int, bits: int) -> np.ndarray:
     return V
 
 
-def sobol_raw(indices, dim: int, table: DirectionTable | None = None) -> np.ndarray:
-    """Sobol' points as ``(n, dim)`` 32-bit integer fractions (times 2^32).
-
-    Index ``i`` selects direction integers by the bits of its Gray code.  A
-    run of consecutive indices takes the Gray-code recurrence
-    (:func:`_sobol_range`); any other index array the random-access loop.
-    """
+def _sobol_directions(dim: int, table: DirectionTable | None, top: int) -> np.ndarray:
+    """``(bits, dim)`` direction words, row ``k`` picked by Gray-code bit ``k``,
+    once ``dim`` and the largest index ``top`` are checked."""
     table = table or DirectionTable.embedded()
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -328,54 +350,65 @@ def sobol_raw(indices, dim: int, table: DirectionTable | None = None) -> np.ndar
             f"dimension {dim} exceeds the direction table "
             f"(max supported dimension {table.max_dim})"
         )
-    idx = _index_array(indices)
-    if idx.size and idx.max() >= (1 << SOBOL_BITS):
+    if top >= 1 << SOBOL_BITS:
         raise ValueError(f"indices must be < 2^{SOBOL_BITS} at word width {SOBOL_BITS}")
-    V = _direction_matrix(table, dim, SOBOL_BITS)
-    n = idx.size
-    if n > 1 and idx[-1] - idx[0] == n - 1 and (idx[1:] > idx[:-1]).all():
-        return _sobol_range(int(idx[0]), n, V)
-    return _sobol_random_access(idx, V)
+    return np.ascontiguousarray(_direction_matrix(table, dim, SOBOL_BITS).T)
 
 
-def _sobol_random_access(idx: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """XOR of the direction integers selected by each index's Gray code."""
+def _sobol_block(idx: np.ndarray, words: np.ndarray, VT: np.ndarray) -> None:
+    """Sobol' words of the indices ``idx``: the XOR of the direction words
+    each Gray code selects.  A consecutive run takes it for its first row and
+    the rest by the Antonov-Saleev recurrence ``x_i = x_{i-1} ^ V[ctz(i)]``:
+    one gather and one prefix XOR down the rows."""
+    m = len(idx)
+    if m > 1 and idx[-1] - idx[0] == m - 1 and (idx[1:] > idx[:-1]).all():
+        g = gray_code(int(idx[0]))
+        words[0] = np.bitwise_xor.reduce(VT[[k for k in range(g.bit_length()) if g >> k & 1]], 0)
+        np.take(VT, np.bitwise_count((idx[1:] & -idx[1:]) - 1), axis=0, out=words[1:])
+        np.bitwise_xor.accumulate(words, axis=0, out=words)
+        return
     g = gray_code(idx.astype(np.uint64))
-    acc = np.zeros((idx.size, V.shape[0]), dtype=np.uint64)
-    for k in range(V.shape[1]):
+    words[...] = 0
+    for k in range(VT.shape[0]):
         remaining = g >> _U64(k)
         if not remaining.any():
             break
-        sel = (remaining & _U64(1)).astype(bool)
-        acc[sel] ^= V[:, k]
-    return acc
+        words[(remaining & _U64(1)).astype(bool)] ^= VT[k]
 
 
-def _sobol_range(start: int, n: int, V: np.ndarray) -> np.ndarray:
-    """Points ``start .. start + n - 1`` by the Antonov-Saleev recurrence.
+def _sobol_kernel(n: int, VT: np.ndarray, finish):
+    """Kernel that makes a block's words in scratch, then ``finish(words, block)``."""
+    scratch = np.empty((min(n, _BLOCK_ROWS), VT.shape[1]), dtype=np.uint64)
 
-    The Gray codes of ``i - 1`` and ``i`` differ only in bit ``ctz(i)``, so
-    ``x_i = x_{i-1} ^ V[:, ctz(i)]``.  Each row block gathers its direction
-    words, XORs the previous block's last point into its first row and
-    prefix-XORs down the rows; blocks keep the accumulate's overlap copy
-    small.
+    def kernel(idx, block):
+        words = scratch[: len(block)]
+        _sobol_block(idx, words, VT)
+        finish(words, block)
+
+    return kernel
+
+
+def _to_unit(words: np.ndarray, block: np.ndarray) -> None:
+    np.multiply(words, 2.0**-SOBOL_BITS, out=block)
+
+
+def sobol_raw(indices, dim: int, table: DirectionTable | None = None) -> np.ndarray:
+    """Sobol' points as ``(n, dim)`` 32-bit integer fractions (times 2^32).
+
+    Index ``i`` selects direction integers by the bits of its Gray code; a
+    run of consecutive indices takes the Gray-code recurrence
+    (:func:`_sobol_block`).
     """
-    out = np.empty((n, V.shape[0]), dtype=np.uint64)
-    out[0] = _sobol_random_access(np.array([start], dtype=np.int64), V)[0]
-    VT = np.ascontiguousarray(V.T)
-    for lo in range(1, n, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n)
-        i = np.arange(start + lo, start + hi, dtype=np.int64)
-        ctz = np.bitwise_count((i & -i) - 1)
-        block = out[lo:hi]
-        np.take(VT, ctz, axis=0, out=block)
-        block[0] ^= out[lo - 1]
-        np.bitwise_xor.accumulate(block, axis=0, out=block)
-    return out
+    idx = _index_array(indices)
+    VT = _sobol_directions(dim, table, int(idx.max()) if idx.size else 0)
+    kernel = partial(_sobol_block, VT=VT)
+    return _fill_rows(idx.size, dim, _BLOCK_ROWS, kernel, source=idx, dtype=np.uint64)
 
 
 def sobol_points(indices, dim: int, table: DirectionTable | None = None) -> np.ndarray:
-    return sobol_raw(indices, dim, table) * 2.0**-SOBOL_BITS
+    idx = _index_array(indices)
+    VT = _sobol_directions(dim, table, int(idx.max()) if idx.size else 0)
+    return _fill_rows(idx.size, dim, _BLOCK_ROWS, _sobol_kernel(idx.size, VT, _to_unit), source=idx)
 
 
 def sobol_point(i: int, dim: int, table: DirectionTable | None = None) -> np.ndarray:
@@ -457,21 +490,29 @@ def owen_scramble(raw, seed: int, bits: int = SOBOL_BITS) -> np.ndarray:
     if raw.size and int(raw.max()) >= (1 << bits):
         raise ValueError(f"raw values must be < 2^{bits}")
     n, d = raw.shape
-    out = np.empty((n, d), dtype=np.float64)
     if not raw.size:
-        return out
+        return np.empty((n, d), dtype=np.float64)
+    return _fill_rows(n, d, _BLOCK_ROWS, _owen_kernel(seed, d, bits, n), source=raw)
+
+
+def _owen_kernel(seed: int, d: int, bits: int, n: int):
+    """``fill(x, block)`` Owen-scrambles the integer words ``x`` into ``block``,
+    with prefix tables sized for ``n`` rows in all."""
     dim_keys = _column_keys(seed, d, 0x9E3779B97F4A7C15)
     depth = min(bits, (n - 1).bit_length(), 20)
-    tables = np.concatenate([_flip_table(key, depth) for key in dim_keys])
+    tables = np.empty(d << depth, dtype=np.uint32)  # one table per coordinate
+    for j, key in enumerate(dim_keys):
+        tables[j << depth : (j + 1) << depth] = _flip_table(key, depth)
     # offset of each coordinate's table, added to the prefix it is indexed by
     offsets = np.arange(d, dtype=np.uint64) << _U64(depth)
     levels = [(k, _splitmix64(dim_keys ^ _U64(k))) for k in range(depth + 1, bits + 1)]
     rows = min(n, _BLOCK_ROWS)
     mask, h, tmp = (np.empty((rows, d), dtype=np.uint64) for _ in range(3))
     top = np.empty((rows, d), dtype=np.uint32)
-    for lo in range(0, n, _BLOCK_ROWS):
-        m = min(n - lo, _BLOCK_ROWS)
-        x = raw[lo : lo + m].astype(np.uint64, copy=False)
+
+    def fill(x, block):
+        m = len(block)
+        x = x.astype(np.uint64, copy=False)
         bm, bh, bt = mask[:m], h[:m], tmp[:m]
         np.right_shift(x, _U64(bits - depth), out=bh)
         bh += offsets
@@ -485,27 +526,26 @@ def owen_scramble(raw, seed: int, bits: int = SOBOL_BITS) -> np.ndarray:
             bh <<= _U64(bits - k)
             bm ^= bh
         bm ^= x
-        np.multiply(bm, 2.0**-bits, out=out[lo : lo + m])
-    return out
+        np.multiply(bm, 2.0**-bits, out=block)
+
+    return fill
 
 
-def _uniform_points(indices, dim: int, seed: int) -> np.ndarray:
-    """Counter-based uniform variates: a pure hash of (seed, index, coord)."""
-    idx = np.asarray(indices, dtype=np.uint64).reshape(-1, 1)
-    n = idx.shape[0]
-    out = np.empty((n, dim), dtype=np.float64)
+def _uniform_kernel(seed: int, dim: int, rows: int):
+    """Counter-based uniform variates, a pure hash of (seed, index, coord)."""
     dim_keys = _column_keys(seed, dim, 0xD1B54A32D192ED03)
-    rows = min(n, _BLOCK_ROWS)
     h, tmp = np.empty((rows, dim), dtype=np.uint64), np.empty((rows, dim), dtype=np.uint64)
-    for lo in range(0, n, _BLOCK_ROWS):
-        m = min(n - lo, _BLOCK_ROWS)
+
+    def kernel(idx, block):
+        m = len(block)
         bh = h[:m]
-        np.multiply(idx[lo : lo + m], _U64(0x9E3779B97F4A7C15), out=bh)
+        np.multiply(idx.astype(np.uint64)[:, None], _U64(0x9E3779B97F4A7C15), out=bh)
         bh ^= dim_keys
         _splitmix64_inplace(bh, tmp[:m])
         bh >>= _U64(11)
-        np.multiply(bh, 2.0**-53, out=out[lo : lo + m])
-    return out
+        np.multiply(bh, 2.0**-53, out=block)
+
+    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -543,25 +583,19 @@ class SequenceSpec:
             raise ValueError("model_path only applies to kind 'neural'")
 
 
-def generate(spec: SequenceSpec, n: int) -> np.ndarray:
-    """Points for raw indices ``burn_in .. burn_in + n - 1`` as an (n, d) array.
-
-    Raw index 0 is the origin point of the classical constructions; the
-    neural sequence is 1-indexed, so its raw indices are shifted by one.
-    """
+def _spec_kernel(spec: SequenceSpec, n: int):
+    """Block rows and ``kernel(idx, block)``, the points of raw indices
+    ``idx``, for the first ``n`` points of ``spec``."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    idx = np.arange(spec.burn_in, spec.burn_in + n, dtype=np.int64)
-    if spec.kind == "vdc":
-        return radical_inverse_many(idx, 2).reshape(-1, 1)
-    if spec.kind == "halton":
-        return halton_points(idx, spec.dim)
-    if spec.kind == "sobol":
-        return sobol_points(idx, spec.dim)
-    if spec.kind == "sobol-scrambled":
-        return owen_scramble(sobol_raw(idx, spec.dim), spec.seed)
+    if spec.kind in ("vdc", "halton"):
+        return _HALTON_ROWS, _radical_inverse_kernel(primes(spec.dim), min(n, _HALTON_ROWS))
+    if spec.kind in ("sobol", "sobol-scrambled"):
+        VT = _sobol_directions(spec.dim, None, spec.burn_in + n - 1)
+        finish = _to_unit if spec.kind == "sobol" else _owen_kernel(spec.seed, spec.dim, SOBOL_BITS, n)
+        return _BLOCK_ROWS, _sobol_kernel(n, VT, finish)
     if spec.kind == "uniform":
-        return _uniform_points(idx, spec.dim, spec.seed)
+        return _BLOCK_ROWS, _uniform_kernel(spec.seed, spec.dim, min(n, _BLOCK_ROWS))
     # neural: the model consumes 1-based sequence-local indices
     from . import neuralnet
 
@@ -571,7 +605,33 @@ def generate(spec: SequenceSpec, n: int) -> np.ndarray:
             f"model at {spec.model_path} generates dimension {model.out_dim}, "
             f"spec asks for {spec.dim}"
         )
-    return neuralnet.forward(model, idx + 1)
+    neuralnet._check_extrapolation(model, spec.burn_in + n, stacklevel=3)
+
+    def kernel(idx, block):
+        # A short last block runs with the full block before it: alone, BLAS
+        # could round it differently (gemv for one row, tail tiles otherwise).
+        back = _NEURAL_ROWS if len(idx) < _NEURAL_ROWS and idx[0] > spec.burn_in else 0
+        enc = neuralnet.encode_indices(model.encoding, np.arange(idx[0] - back, idx[-1] + 1) + 1)
+        block[...] = neuralnet._forward_encoded(model, enc)[0][back:]
+
+    return _NEURAL_ROWS, kernel
+
+
+def generate(spec: SequenceSpec, n: int) -> np.ndarray:
+    """Points for raw indices ``burn_in .. burn_in + n - 1`` as an (n, d) array.
+
+    Raw index 0 is the origin point of the classical constructions; the
+    neural sequence is 1-indexed, so its raw indices are shifted by one.
+    """
+    rows, kernel = _spec_kernel(spec, n)
+    return _fill_rows(n, spec.dim, rows, kernel, start=spec.burn_in)
+
+
+def generate_blocks(spec: SequenceSpec, n: int):
+    """The points of :func:`generate` as ``(lo, block)`` pairs, ``block``
+    holding rows ``lo ..``; each block overwrites the one before it."""
+    rows, kernel = _spec_kernel(spec, n)
+    return _row_blocks(n, spec.dim, rows, kernel, start=spec.burn_in)
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +650,10 @@ def load_points_csv(path) -> np.ndarray:
     with open(path, "rb") as fh:
         if not any(line.strip() for line in fh):
             raise ValueError(f"{path}: point file is empty")
-    return np.loadtxt(path, delimiter=",", ndmin=2)
+    try:
+        return np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:  # a ragged row or a cell that is not a number
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_points_bin(points: np.ndarray, path) -> None:

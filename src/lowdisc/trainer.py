@@ -291,10 +291,15 @@ def format_config(cfg: TrainConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+_PARSERS = {"gamma": lambda v: tuple(float(g) for g in v.split(",")),  # the rest are int
+            **dict.fromkeys(("loss_family", "weight_scheme", "reference_kind"), str),
+            **dict.fromkeys(("pretrain_lr", "finetune_lr", "final_lr_ratio"), float)}
+
+
 def parse_config(text: str) -> TrainConfig:
     """Parse the key:value training-config format (see ``format_config``)."""
-    known = {f.name: f for f in fields(TrainConfig)}
-    raw: dict[str, str] = {}
+    known = {f.name for f in fields(TrainConfig)}
+    kwargs = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -304,20 +309,13 @@ def parse_config(text: str) -> TrainConfig:
         key, value = (part.strip() for part in body.split(":", 1))
         if key not in known:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        raw[key] = value
+        try:
+            kwargs[key] = _PARSERS.get(key, int)(value)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: bad value for {key!r}: {exc}") from None
     for required in ("dim", "n_points"):
-        if required not in raw:
+        if required not in kwargs:
             raise ValueError(f"config is missing required key {required!r}")
-    kwargs = {}
-    for key, value in raw.items():
-        if key in _LIST_FIELDS:
-            kwargs[key] = tuple(float(v) for v in value.split(","))
-        elif key in ("loss_family", "weight_scheme", "reference_kind"):
-            kwargs[key] = value
-        elif key in ("pretrain_lr", "finetune_lr", "final_lr_ratio"):
-            kwargs[key] = float(value)
-        else:
-            kwargs[key] = int(value)
     return TrainConfig(**kwargs)
 
 

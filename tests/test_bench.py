@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lowdisc import bench
+from lowdisc import seqcore
 from lowdisc.seqcore import SequenceSpec
 
 
@@ -270,3 +271,78 @@ class TestBasketPrice:
     def test_nonpositive_prices_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             bench.basket_price([0.5, 0.0], bench.BasketOptionSpec(dim=2))
+
+
+def whole_array_integrate(spec, f, n, checkpoints, reference):
+    """The one-piece form: generate every point, then evaluate them all."""
+    values = np.atleast_1d(np.asarray(f(seqcore.generate(spec, n)), dtype=np.float64))
+    running = np.cumsum(values)
+    cks = tuple(int(c) for c in checkpoints if c <= n)
+    return float(values.mean()), tuple(abs(running[c - 1] / c - reference) for c in cks)
+
+
+def whole_array_mc_reference(f, dim, n_samples, seed):
+    """The one-piece form: each 2^18-point draw evaluated in one call."""
+    rng = np.random.default_rng(seed)
+    total, remaining = 0.0, n_samples
+    while remaining > 0:
+        m = min(1 << 18, remaining)
+        total += float(np.sum(f(rng.random((m, dim)))))
+        remaining -= m
+    return total / n_samples
+
+
+class TestStreamedIntegration:
+    """``integrate`` and ``mc_reference`` evaluate the integrand block by
+    block; the estimates must not move a bit."""
+
+    CHECKPOINTS = (1, 2, 20, 500, 4096, 4097, 16385, 40000)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SequenceSpec("sobol", 8, burn_in=3),
+            SequenceSpec("sobol-scrambled", 8, seed=5),
+            SequenceSpec("halton", 8),
+            SequenceSpec("uniform", 8, burn_in=1, seed=2),
+        ],
+        ids=lambda s: s.kind,
+    )
+    @pytest.mark.parametrize("n", [1, 4097, 16385, 40000])
+    def test_borehole_matches_whole_array(self, spec, n):
+        got = bench.integrate(spec, bench.borehole, n, self.CHECKPOINTS, reference=72.9)
+        estimate, errors = whole_array_integrate(spec, bench.borehole, n, self.CHECKPOINTS, 72.9)
+        assert got.estimate == estimate
+        assert got.errors == errors
+
+    def test_neural_matches_whole_array(self, tmp_path):
+        from lowdisc import neuralnet as nn
+
+        model = nn.init_mlp(nn.EncodingConfig(bands=2, n_norm=10**4), 3, 8, 2, seed=1)
+        nn.save_model(model, tmp_path / "m.nn")
+        spec = SequenceSpec("neural", 3, model_path=str(tmp_path / "m.nn"))
+        f = lambda x: np.prod(x, axis=1)
+        got = bench.integrate(spec, f, 9000, self.CHECKPOINTS, reference=0.125)
+        assert (got.estimate, got.errors) == whole_array_integrate(spec, f, 9000, self.CHECKPOINTS, 0.125)
+
+    @pytest.mark.parametrize(
+        "f, dim, n_samples",
+        [
+            (bench.borehole, 8, 2**18 + 2**13 + 1),
+            (lambda x: x[:, 0], 1, 2**16),
+            (lambda x: np.prod(x, axis=1), 3, 3 * 2**18 + 5),
+        ],
+        ids=["borehole", "first-coordinate", "product"],
+    )
+    def test_mc_reference_matches_whole_draws(self, f, dim, n_samples):
+        assert bench.mc_reference(f, dim, n_samples, 7) == whole_array_mc_reference(f, dim, n_samples, 7)
+
+    def test_integrand_sees_blocks(self):
+        rows = []
+        f = lambda x: rows.append(len(x)) or np.ones(len(x))
+        bench.integrate(SequenceSpec("sobol", 2), f, 3 * seqcore._BLOCK_ROWS + 1)
+        assert rows == [seqcore._BLOCK_ROWS] * 3 + [1]
+
+    def test_integrand_shape_checked(self):
+        with pytest.raises(ValueError, match=r"\(n,\) values"):
+            bench.integrate(SequenceSpec("sobol", 2), lambda x: x, 10)

@@ -187,3 +187,31 @@ class TestPlan:
             label, width, pct = line.split(",")
             assert label in ("sobol", "uniform")
             assert 0.0 <= float(pct) <= 100.0
+
+
+class TestScrambleIsGenerate:
+    @pytest.mark.parametrize("burn_in, n", [(0, 1), (0, seqcore._BLOCK_ROWS + 1), (128, 300)])
+    def test_matches_generate(self, tmp_path, burn_in, n):
+        out = tmp_path / "s.bin"
+        assert run(["scramble", "--dim", "5", "--n", str(n), "--burn-in", str(burn_in),
+                    "--seed", "9", "--format", "bin", "--out", str(out)]) == 0
+        spec = SequenceSpec("sobol-scrambled", 5, burn_in=burn_in, seed=seqcore.split_seed(9, "scramble"))
+        np.testing.assert_array_equal(seqcore.load_points_bin(out), seqcore.generate(spec, n))
+
+    def test_needs_seed(self, tmp_path, capsys):
+        assert run(["scramble", "--dim", "2", "--n", "4", "--out", str(tmp_path / "s.csv")]) == 1
+        assert "scramble needs --seed" in capsys.readouterr().err
+
+
+class TestTrainNotes:
+    def test_notes_reach_stderr(self, tmp_path, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(
+            "dim: 1\nn_points: 12\nloss_family: sym\nhidden: 8\nlayers: 2\n"
+            "bands: 2\npretrain_epochs: 0\nfinetune_epochs: 3\nseed: 1\n"
+        )
+        with pytest.warns(UserWarning, match="unsupported regime"):
+            code = run(["train", "--config", str(cfg), "--out-model", str(tmp_path / "m.nn")])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "note: unsupported-regime warning: direct fine-tune without pretraining" in err

@@ -219,3 +219,13 @@ class TestSerialization:
         path.write_bytes(b"NOTMODEL" + b"\0" * 64)
         with pytest.raises(ValueError, match="magic"):
             nn.load_model(path)
+
+
+class TestTruncatedModel:
+    @pytest.mark.parametrize("keep", [-1, -200, 64 + 4])
+    def test_names_the_file(self, tmp_path, keep):
+        path = tmp_path / "cut.nn"
+        nn.save_model(tiny_model(), path)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ValueError, match="cut.nn: truncated model file"):
+            nn.load_model(path)

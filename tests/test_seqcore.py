@@ -511,3 +511,145 @@ class TestSplitSeed:
         seen = {sq.split_seed(1), sq.split_seed(1, "a"), sq.split_seed(1, "b"),
                 sq.split_seed(1, "a", 0), sq.split_seed(2, "a")}
         assert len(seen) == 5
+
+
+def reference_points(kind, dim, idx, seed=None):
+    """Points of raw indices ``idx`` from the references above, one formula
+    per kind and no row blocks."""
+    if kind in ("vdc", "halton"):
+        return np.array([[sq.radical_inverse(int(i), b) for b in sq.primes(dim)] for i in idx])
+    if kind == "sobol":
+        return reference_sobol_raw(idx, dim) * 2.0**-sq.SOBOL_BITS
+    if kind == "sobol-scrambled":
+        return reference_owen_scramble(reference_sobol_raw(idx, dim), seed)
+    return reference_uniform_points(idx, dim, seed)
+
+
+def edge_sizes(block):
+    return [1, block - 1, block, block + 1, 2 * block + 1]
+
+
+class TestRowBlocks:
+    """``generate`` fills its output through one row-block driver; every
+    kind must give the same points as its one-piece reference."""
+
+    CLASSICAL = [
+        ("vdc", 1, None, sq._HALTON_ROWS),
+        ("halton", 3, None, sq._HALTON_ROWS),
+        ("sobol", 16, None, sq._BLOCK_ROWS),
+        ("sobol-scrambled", 5, 2024, sq._BLOCK_ROWS),
+        ("uniform", 4, 77, sq._BLOCK_ROWS),
+    ]
+
+    @pytest.mark.parametrize("burn_in", [0, 128])
+    @pytest.mark.parametrize("kind, dim, seed, block", CLASSICAL, ids=[c[0] for c in CLASSICAL])
+    def test_matches_reference_at_block_edges(self, kind, dim, seed, block, burn_in):
+        sizes = edge_sizes(block)
+        ref = reference_points(kind, dim, np.arange(burn_in, burn_in + sizes[-1]), seed)
+        for n in sizes:
+            pts = sq.generate(sq.SequenceSpec(kind, dim, burn_in=burn_in, seed=seed), n)
+            np.testing.assert_array_equal(pts, ref[:n], err_msg=f"n={n}")
+
+    @pytest.mark.parametrize("burn_in", [0, 128])
+    @pytest.mark.parametrize("n", edge_sizes(sq._NEURAL_ROWS))
+    @pytest.mark.parametrize(
+        "bands, hidden, layers, d",
+        # the second model rounds a lone short last block differently
+        [(2, 8, 2, 2), (4, 32, 3, 1)],
+        ids=["tiny", "short-block-sensitive"],
+    )
+    def test_neural_matches_whole_array_forward(self, tmp_path, n, burn_in, bands, hidden, layers, d):
+        from lowdisc import neuralnet as nn
+
+        model = nn.init_mlp(nn.EncodingConfig(bands=bands, n_norm=2**14), d, hidden, layers, seed=3)
+        nn.save_model(model, tmp_path / "m.nn")
+        spec = sq.SequenceSpec("neural", d, burn_in=burn_in, model_path=str(tmp_path / "m.nn"))
+        whole = nn.forward(model, np.arange(burn_in + 1, burn_in + n + 1))
+        np.testing.assert_array_equal(sq.generate(spec, n), whole)
+
+    def test_neural_rounding_of_a_wider_model(self, tmp_path):
+        # OpenBLAS picks its kernel by the matrix sizes: for this model the
+        # 4096-row block products and the 8193-row whole-array ones take
+        # different kernels, which round apart by a few units in the last place
+        from lowdisc import neuralnet as nn
+
+        model = nn.init_mlp(nn.EncodingConfig(bands=4, n_norm=2**14), 3, 48, 3, seed=5)
+        nn.save_model(model, tmp_path / "m.nn")
+        n = 2 * sq._NEURAL_ROWS + 1
+        spec = sq.SequenceSpec("neural", 3, model_path=str(tmp_path / "m.nn"))
+        np.testing.assert_array_max_ulp(sq.generate(spec, n), nn.forward(model, np.arange(1, n + 1)), 16)
+
+    def test_neural_warns_once_per_call(self, tmp_path):
+        from lowdisc import neuralnet as nn
+
+        model = nn.init_mlp(nn.EncodingConfig(bands=1, n_norm=10), 1, 4, 2, seed=0)
+        nn.save_model(model, tmp_path / "m.nn")
+        spec = sq.SequenceSpec("neural", 1, burn_in=5, model_path=str(tmp_path / "m.nn"))
+        n = 2 * sq._NEURAL_ROWS + 1
+        with pytest.warns(nn.ExtrapolationWarning) as record:
+            sq.generate(spec, n)
+        assert [str(w.message) for w in record] == [
+            f"evaluating indices up to {5 + n} beyond the trained normalization length 10"
+        ]
+
+    @pytest.mark.parametrize("kind, dim, seed, block", CLASSICAL, ids=[c[0] for c in CLASSICAL])
+    def test_blocks_stream_the_generated_rows(self, kind, dim, seed, block):
+        spec = sq.SequenceSpec(kind, dim, burn_in=3, seed=seed)
+        n = 2 * block + 5
+        whole = sq.generate(spec, n)
+        seen = 0
+        for lo, pts in sq.generate_blocks(spec, n):
+            assert lo == seen and 0 < len(pts) <= block
+            np.testing.assert_array_equal(pts, whole[lo : lo + len(pts)])
+            seen += len(pts)
+        assert seen == n
+
+    @pytest.mark.parametrize("kind, seed", [("sobol", None), ("sobol-scrambled", 1), ("halton", None), ("uniform", 1)])
+    def test_no_n_sized_temporaries(self, kind, seed):
+        # no index array and no full-size word array next to the result
+        import tracemalloc
+
+        spec = sq.SequenceSpec(kind, 8, burn_in=7, seed=seed)
+        sq.generate(spec, 2)  # warm the caches
+        n = 1 << 17
+        tracemalloc.start()
+        try:
+            pts = sq.generate(spec, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Owen's prefix tables hold 2^17 uint32 flips per coordinate at this n
+        tables = 4 * 8 * n if kind == "sobol-scrambled" else 0
+        assert peak < pts.nbytes + tables + (2 << 20)
+
+    def test_sobol_points_hold_no_word_array(self):
+        import tracemalloc
+
+        n = 1 << 17
+        tracemalloc.start()
+        try:
+            pts = sq.sobol_points(np.arange(5, 5 + n), 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * pts.nbytes  # the index array plus the points
+
+    def test_sobol_index_limit(self):
+        top = 2**sq.SOBOL_BITS
+        pts = sq.generate(sq.SequenceSpec("sobol", 3, burn_in=top - 9000), 9000)
+        np.testing.assert_array_equal(pts, reference_points("sobol", 3, np.arange(top - 9000, top)))
+        with pytest.raises(ValueError, match="< 2\\^32"):
+            sq.generate(sq.SequenceSpec("sobol", 3, burn_in=top - 9000), 9001)
+
+
+class TestPointFileErrors:
+    @pytest.mark.parametrize(
+        "content, match",
+        [("0.1,0.2\n0.3\n", "number of columns"), ("0.1,0.2\n0.3,abc\n", "abc")],
+        ids=["ragged", "not-a-number"],
+    )
+    def test_csv_errors_name_the_file(self, tmp_path, content, match):
+        path = tmp_path / "broken.csv"
+        path.write_text(content)
+        with pytest.raises(ValueError, match=f"broken.csv: .*{match}"):
+            sq.load_points(path)

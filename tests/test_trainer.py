@@ -292,3 +292,18 @@ class TestConfigFile:
         path.write_text("dim: 3\nn_points: 24\nloss_family: star\nseed: 7\n")
         cfg = tr.load_config(path)
         assert (cfg.dim, cfg.n_points, cfg.loss_family, cfg.seed) == (3, 24, "star", 7)
+
+
+class TestConfigValueErrors:
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("dim: x\nn_points: 8\n", "line 1: bad value for 'dim'"),
+            ("dim: 2\nn_points: 8\n\npretrain_lr: fast\n", "line 4: bad value for 'pretrain_lr'"),
+            ("dim: 2\nn_points: 8\ngamma: 1,b\n", "line 3: bad value for 'gamma'"),
+        ],
+        ids=["int", "float", "list"],
+    )
+    def test_names_line_and_key(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            tr.parse_config(text)
