@@ -3,9 +3,9 @@ error-study harness, Saltelli/Jansen sensitivity indices with the derived
 coordinate-weight vector, and a closed-form geometric-average basket call
 price for use as a smooth test integrand.
 
-Integrands are evaluated row block by row block, on the generator's
-stream or on slices of a Monte Carlo draw, into one value array, so the
-estimates are those of whole arrays without holding all n points.
+Integrands are called on row blocks of the generated points or of a
+Monte Carlo draw and write into one value array, so the estimates are those
+of whole-array calls while the integrand's temporaries stay block-sized.
 """
 
 from __future__ import annotations
@@ -88,13 +88,17 @@ class IntegrationResult:
     errors: tuple[float, ...] | None
 
 
-def _values(f, blocks, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with ``f`` on a stream of ``(lo, points)`` row blocks."""
-    for lo, points in blocks:
-        values = np.atleast_1d(np.asarray(f(points), dtype=np.float64))
-        if values.shape != (len(points),):
+_EVAL_ROWS = 1 << 13  # per integrand call; the borehole on 2^18 rows was 2.75x slower
+
+
+def _values(f, points: np.ndarray) -> np.ndarray:
+    """``f`` on ``points``, called on ``_EVAL_ROWS`` rows at a time."""
+    out = np.empty(len(points))
+    for lo in range(0, len(points), _EVAL_ROWS):
+        values = np.atleast_1d(np.asarray(f(points[lo : lo + _EVAL_ROWS]), dtype=np.float64))
+        if values.shape != out[lo : lo + _EVAL_ROWS].shape:
             raise ValueError("integrand must map (n, d) points to (n,) values")
-        out[lo : lo + len(points)] = values
+        out[lo : lo + _EVAL_ROWS] = values
     return out
 
 
@@ -112,7 +116,7 @@ def integrate(
     reported at every checkpoint not exceeding ``n``; without one, only
     the estimate is returned.
     """
-    values = _values(f, seqcore.generate_blocks(spec, n), np.empty(n))
+    values = _values(f, seqcore.generate(spec, n))
     cks = tuple(int(c) for c in checkpoints if c <= n)
     running = np.cumsum(values)
     errors = None
@@ -123,21 +127,15 @@ def integrate(
     )
 
 
-_EVAL_ROWS = 1 << 13  # per integrand call; the borehole on 2^18 rows was 2.75x slower
-
-
 def mc_reference(f, dim: int, n_samples: int, seed: int) -> float:
-    """Plain Monte Carlo reference value with a documented seed; each draw of
-    2^18 points is summed as one array, whatever ``_EVAL_ROWS`` is."""
+    """Plain Monte Carlo reference value with a documented seed."""
     rng = np.random.default_rng(seed)
     block = 1 << 18
     total = 0.0
     remaining = n_samples
     while remaining > 0:
         m = min(block, remaining)
-        draw = rng.random((m, dim))
-        rows = ((lo, draw[lo : lo + _EVAL_ROWS]) for lo in range(0, m, _EVAL_ROWS))
-        total += float(np.sum(_values(f, rows, np.empty(m))))
+        total += float(np.sum(_values(f, rng.random((m, dim)))))
         remaining -= m
     return total / n_samples
 

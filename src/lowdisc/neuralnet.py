@@ -146,22 +146,16 @@ def _forward_encoded(model: MlpModel, enc: np.ndarray):
     return points, acts
 
 
-def _check_extrapolation(model: MlpModel, top: int, stacklevel: int) -> None:
-    """Warn if index ``top`` lies beyond the trained normalization length."""
-    if top > model.encoding.n_norm:
-        warnings.warn(
-            f"evaluating indices up to {top} beyond the trained "
-            f"normalization length {model.encoding.n_norm}",
-            ExtrapolationWarning,
-            stacklevel=stacklevel + 1,
-        )
-
-
 def forward(model: MlpModel, indices) -> np.ndarray:
     """Batch evaluation of the index-to-point map; pure and deterministic."""
     idx = np.asarray(indices)
-    if idx.size:
-        _check_extrapolation(model, int(idx.max()), stacklevel=2)
+    if idx.size and int(idx.max()) > model.encoding.n_norm:
+        warnings.warn(
+            f"evaluating indices up to {int(idx.max())} beyond the trained "
+            f"normalization length {model.encoding.n_norm}",
+            ExtrapolationWarning,
+            stacklevel=2,
+        )
     enc = encode_indices(model.encoding, idx)
     return _forward_encoded(model, enc)[0]
 

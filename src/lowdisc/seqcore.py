@@ -6,10 +6,9 @@ so prefixes are extensible and calls are trivially thread-safe.  Point sets
 travel between modules as plain ``(n, d)`` float64 arrays with coordinates
 in ``[0, 1)``.
 
-One row-block loop (:func:`_row_blocks`) makes every point set.  Each kind
+One row-block loop (:func:`_fill_rows`) makes every point set.  Each kind
 supplies a kernel that fills one block of rows from its raw indices, with
-scratch reused across blocks; :func:`generate` fills an ``(n, d)`` array
-that way and :func:`generate_blocks` streams the blocks through one buffer.
+scratch reused across blocks; the neural kind is one block of all n rows.
 The kernels are vectorized without changing a bit of their output:
 
 * Sobol': a consecutive run takes the Antonov-Saleev recurrence
@@ -26,7 +25,7 @@ import math
 import struct
 import threading
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from hashlib import blake2b
 from pathlib import Path
 
@@ -43,13 +42,9 @@ _MASK64 = (1 << 64) - 1
 # Rows per block of the generator kernels.  The Sobol' and Owen blocks hold
 # a few (4096, d) uint64 buffers, a few hundred KB that stay in cache across
 # passes; larger blocks were slower.  The Halton buffers are 1-D, and taller
-# blocks cut the Python overhead of its per-base, per-digit loop.  A neural
-# block holds its rows' activations (52 KB a row at the sym defaults); at
-# 2048 rows desk-scale models (128 hidden, d=2) changed in the last bits,
-# since OpenBLAS picks its kernel by the product sizes.
+# blocks cut the Python overhead of its per-base, per-digit loop.
 _BLOCK_ROWS = 4096
 _HALTON_ROWS = 1 << 14
-_NEURAL_ROWS = 4096
 
 
 def split_seed(seed: int, *labels) -> int:
@@ -103,24 +98,15 @@ def _index_array(indices) -> np.ndarray:
     return idx
 
 
-def _row_blocks(n: int, d: int, rows: int, kernel, start: int = 0, source=None, out=None):
-    """The one row-block loop.  Each block of at most ``rows`` rows is filled
-    by ``kernel(idx, block)``, ``idx`` being the block's rows of ``source`` or,
-    without one, its raw indices counted from ``start``; then ``(lo, block)``
-    is yielded.  Blocks are views of ``out`` if given, else of one buffer."""
-    buf = np.empty((min(n, rows), d)) if out is None else None
-    for lo in range(0, n, rows):
-        block = out[lo : lo + rows] if out is not None else buf[: n - lo]
-        hi = lo + len(block)
-        kernel(source[lo:hi] if source is not None else np.arange(start + lo, start + hi), block)
-        yield lo, block
-
-
-def _fill_rows(n: int, d: int, rows: int, kernel, start=0, source=None, dtype=np.float64):
-    """The ``(n, d)`` array that :func:`_row_blocks` fills block by block."""
+def _fill_rows(kernel, n: int, d: int, rows: int, first: int = 0, indices=None, dtype=np.float64):
+    """The one row-block loop: an ``(n, d)`` array whose blocks of at most
+    ``rows`` rows are filled by ``kernel(idx, block)``, ``idx`` being the
+    block's rows of ``indices`` or, without them, raw indices from ``first``."""
     out = np.empty((n, d), dtype=dtype)
-    for _ in _row_blocks(n, d, rows, kernel, start, source, out):
-        pass
+    for lo in range(0, n, rows):
+        block = out[lo : lo + rows]
+        hi = lo + len(block)
+        kernel(np.arange(first + lo, first + hi) if indices is None else indices[lo:hi], block)
     return out
 
 
@@ -167,12 +153,16 @@ def radical_inverse_many(indices, base: int) -> np.ndarray:
     if base < 2:
         raise ValueError(f"radical inverse needs base >= 2, got {base}")
     idx = np.asarray(indices, dtype=np.int64)
-    return _radical_inverse_columns(_index_array(idx.reshape(-1)), (base,)).reshape(idx.shape)
+    flat = _index_array(idx.reshape(-1))
+    fill = _radical_inverse_kernel((base,), flat.size)
+    return _fill_rows(fill, flat.size, 1, _HALTON_ROWS, indices=flat).reshape(idx.shape)
 
 
-def _radical_inverse_kernel(bases, rows: int):
+def _radical_inverse_kernel(bases, n: int):
     """``fill(idx, block)`` writes the radical inverses of the int64 ``idx``
-    in each base to the columns of ``block``, reusing scratch of ``rows``."""
+    in each base to the columns of ``block``, reusing scratch sized for the
+    row blocks of an ``n``-row set."""
+    rows = min(n, _HALTON_ROWS)
     rem, quot = np.empty(rows, dtype=np.int64), np.empty(rows, dtype=np.int64)
     term, acc = np.empty(rows, dtype=np.float64), np.empty(rows, dtype=np.float64)
 
@@ -187,12 +177,6 @@ def _radical_inverse_kernel(bases, rows: int):
     return fill
 
 
-def _radical_inverse_columns(idx: np.ndarray, bases) -> np.ndarray:
-    """``(n, len(bases))`` radical inverses of the 1-D int64 ``idx``."""
-    fill = _radical_inverse_kernel(bases, min(idx.size, _HALTON_ROWS))
-    return _fill_rows(idx.size, len(bases), _HALTON_ROWS, fill, source=idx)
-
-
 def halton_point(i: int, dim: int) -> np.ndarray:
     """Coordinate ``j`` is the radical inverse of ``i`` in the j-th prime."""
     return halton_points([i], dim)[0]
@@ -203,7 +187,8 @@ def halton_points(indices, dim: int) -> np.ndarray:
     if dim < 1:
         raise ValueError("dim must be >= 1")
     idx = _index_array(indices)
-    return _radical_inverse_columns(idx, primes(dim))
+    fill = _radical_inverse_kernel(primes(dim), idx.size)
+    return _fill_rows(fill, idx.size, dim, _HALTON_ROWS, indices=idx)
 
 
 # ---------------------------------------------------------------------------
@@ -376,20 +361,29 @@ def _sobol_block(idx: np.ndarray, words: np.ndarray, VT: np.ndarray) -> None:
         words[(remaining & _U64(1)).astype(bool)] ^= VT[k]
 
 
-def _sobol_kernel(n: int, VT: np.ndarray, finish):
-    """Kernel that makes a block's words in scratch, then ``finish(words, block)``."""
-    scratch = np.empty((min(n, _BLOCK_ROWS), VT.shape[1]), dtype=np.uint64)
+def _sobol_kernel(n: int, VT: np.ndarray, finish=None):
+    """Kernel that writes a block's words, or makes them in scratch and then
+    calls ``finish(words, block)``."""
+    scratch = np.empty((min(n, _BLOCK_ROWS), VT.shape[1]), dtype=np.uint64) if finish else None
 
     def kernel(idx, block):
-        words = scratch[: len(block)]
+        words = block if finish is None else scratch[: len(block)]
         _sobol_block(idx, words, VT)
-        finish(words, block)
+        if finish:
+            finish(words, block)
 
     return kernel
 
 
 def _to_unit(words: np.ndarray, block: np.ndarray) -> None:
     np.multiply(words, 2.0**-SOBOL_BITS, out=block)
+
+
+def _sobol_fill(indices, dim: int, table: DirectionTable | None, finish=None) -> np.ndarray:
+    idx = _index_array(indices)
+    VT = _sobol_directions(dim, table, int(idx.max()) if idx.size else 0)
+    kernel, dtype = _sobol_kernel(idx.size, VT, finish), np.float64 if finish else np.uint64
+    return _fill_rows(kernel, idx.size, dim, _BLOCK_ROWS, indices=idx, dtype=dtype)
 
 
 def sobol_raw(indices, dim: int, table: DirectionTable | None = None) -> np.ndarray:
@@ -399,16 +393,11 @@ def sobol_raw(indices, dim: int, table: DirectionTable | None = None) -> np.ndar
     run of consecutive indices takes the Gray-code recurrence
     (:func:`_sobol_block`).
     """
-    idx = _index_array(indices)
-    VT = _sobol_directions(dim, table, int(idx.max()) if idx.size else 0)
-    kernel = partial(_sobol_block, VT=VT)
-    return _fill_rows(idx.size, dim, _BLOCK_ROWS, kernel, source=idx, dtype=np.uint64)
+    return _sobol_fill(indices, dim, table)
 
 
 def sobol_points(indices, dim: int, table: DirectionTable | None = None) -> np.ndarray:
-    idx = _index_array(indices)
-    VT = _sobol_directions(dim, table, int(idx.max()) if idx.size else 0)
-    return _fill_rows(idx.size, dim, _BLOCK_ROWS, _sobol_kernel(idx.size, VT, _to_unit), source=idx)
+    return _sobol_fill(indices, dim, table, _to_unit)
 
 
 def sobol_point(i: int, dim: int, table: DirectionTable | None = None) -> np.ndarray:
@@ -492,7 +481,7 @@ def owen_scramble(raw, seed: int, bits: int = SOBOL_BITS) -> np.ndarray:
     n, d = raw.shape
     if not raw.size:
         return np.empty((n, d), dtype=np.float64)
-    return _fill_rows(n, d, _BLOCK_ROWS, _owen_kernel(seed, d, bits, n), source=raw)
+    return _fill_rows(_owen_kernel(seed, d, bits, n), n, d, _BLOCK_ROWS, indices=raw)
 
 
 def _owen_kernel(seed: int, d: int, bits: int, n: int):
@@ -531,10 +520,10 @@ def _owen_kernel(seed: int, d: int, bits: int, n: int):
     return fill
 
 
-def _uniform_kernel(seed: int, dim: int, rows: int):
+def _uniform_kernel(seed: int, dim: int, n: int):
     """Counter-based uniform variates, a pure hash of (seed, index, coord)."""
     dim_keys = _column_keys(seed, dim, 0xD1B54A32D192ED03)
-    h, tmp = np.empty((rows, dim), dtype=np.uint64), np.empty((rows, dim), dtype=np.uint64)
+    h, tmp = (np.empty((min(n, _BLOCK_ROWS), dim), dtype=np.uint64) for _ in range(2))
 
     def kernel(idx, block):
         m = len(block)
@@ -583,55 +572,40 @@ class SequenceSpec:
             raise ValueError("model_path only applies to kind 'neural'")
 
 
-def _spec_kernel(spec: SequenceSpec, n: int):
-    """Block rows and ``kernel(idx, block)``, the points of raw indices
-    ``idx``, for the first ``n`` points of ``spec``."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if spec.kind in ("vdc", "halton"):
-        return _HALTON_ROWS, _radical_inverse_kernel(primes(spec.dim), min(n, _HALTON_ROWS))
-    if spec.kind in ("sobol", "sobol-scrambled"):
-        VT = _sobol_directions(spec.dim, None, spec.burn_in + n - 1)
-        finish = _to_unit if spec.kind == "sobol" else _owen_kernel(spec.seed, spec.dim, SOBOL_BITS, n)
-        return _BLOCK_ROWS, _sobol_kernel(n, VT, finish)
-    if spec.kind == "uniform":
-        return _BLOCK_ROWS, _uniform_kernel(spec.seed, spec.dim, min(n, _BLOCK_ROWS))
-    # neural: the model consumes 1-based sequence-local indices
-    from . import neuralnet
-
-    model = neuralnet.load_model(spec.model_path)
-    if model.out_dim != spec.dim:
-        raise ValueError(
-            f"model at {spec.model_path} generates dimension {model.out_dim}, "
-            f"spec asks for {spec.dim}"
-        )
-    neuralnet._check_extrapolation(model, spec.burn_in + n, stacklevel=3)
-
-    def kernel(idx, block):
-        # A short last block runs with the full block before it: alone, BLAS
-        # could round it differently (gemv for one row, tail tiles otherwise).
-        back = _NEURAL_ROWS if len(idx) < _NEURAL_ROWS and idx[0] > spec.burn_in else 0
-        enc = neuralnet.encode_indices(model.encoding, np.arange(idx[0] - back, idx[-1] + 1) + 1)
-        block[...] = neuralnet._forward_encoded(model, enc)[0][back:]
-
-    return _NEURAL_ROWS, kernel
-
-
 def generate(spec: SequenceSpec, n: int) -> np.ndarray:
     """Points for raw indices ``burn_in .. burn_in + n - 1`` as an (n, d) array.
 
     Raw index 0 is the origin point of the classical constructions; the
     neural sequence is 1-indexed, so its raw indices are shifted by one.
     """
-    rows, kernel = _spec_kernel(spec, n)
-    return _fill_rows(n, spec.dim, rows, kernel, start=spec.burn_in)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    rows = _BLOCK_ROWS
+    if spec.kind in ("vdc", "halton"):
+        rows, kernel = _HALTON_ROWS, _radical_inverse_kernel(primes(spec.dim), n)
+    elif spec.kind in ("sobol", "sobol-scrambled"):
+        VT = _sobol_directions(spec.dim, None, spec.burn_in + n - 1)
+        finish = _to_unit if spec.kind == "sobol" else _owen_kernel(spec.seed, spec.dim, SOBOL_BITS, n)
+        kernel = _sobol_kernel(n, VT, finish)
+    elif spec.kind == "uniform":
+        kernel = _uniform_kernel(spec.seed, spec.dim, n)
+    else:
+        from . import neuralnet
 
+        model = neuralnet.load_model(spec.model_path)
+        if model.out_dim != spec.dim:
+            raise ValueError(
+                f"model at {spec.model_path} generates dimension {model.out_dim}, "
+                f"spec asks for {spec.dim}"
+            )
+        # one block: BLAS picks its kernels by the matrix sizes, so smaller
+        # products could round differently.  The model consumes 1-based indices.
+        rows = n
 
-def generate_blocks(spec: SequenceSpec, n: int):
-    """The points of :func:`generate` as ``(lo, block)`` pairs, ``block``
-    holding rows ``lo ..``; each block overwrites the one before it."""
-    rows, kernel = _spec_kernel(spec, n)
-    return _row_blocks(n, spec.dim, rows, kernel, start=spec.burn_in)
+        def kernel(idx, block):
+            block[...] = neuralnet.forward(model, idx + 1)
+
+    return _fill_rows(kernel, n, spec.dim, rows, first=spec.burn_in)
 
 
 # ---------------------------------------------------------------------------

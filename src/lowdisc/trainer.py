@@ -291,9 +291,9 @@ def format_config(cfg: TrainConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-_PARSERS = {"gamma": lambda v: tuple(float(g) for g in v.split(",")),  # the rest are int
+_PARSERS = {**dict.fromkeys(_LIST_FIELDS, lambda v: tuple(float(g) for g in v.split(","))),
             **dict.fromkeys(("loss_family", "weight_scheme", "reference_kind"), str),
-            **dict.fromkeys(("pretrain_lr", "finetune_lr", "final_lr_ratio"), float)}
+            **dict.fromkeys(("pretrain_lr", "finetune_lr", "final_lr_ratio"), float)}  # the rest are int
 
 
 def parse_config(text: str) -> TrainConfig:

@@ -292,7 +292,7 @@ def whole_array_mc_reference(f, dim, n_samples, seed):
     return total / n_samples
 
 
-class TestStreamedIntegration:
+class TestBlockwiseIntegration:
     """``integrate`` and ``mc_reference`` evaluate the integrand block by
     block; the estimates must not move a bit."""
 
@@ -340,9 +340,18 @@ class TestStreamedIntegration:
     def test_integrand_sees_blocks(self):
         rows = []
         f = lambda x: rows.append(len(x)) or np.ones(len(x))
-        bench.integrate(SequenceSpec("sobol", 2), f, 3 * seqcore._BLOCK_ROWS + 1)
-        assert rows == [seqcore._BLOCK_ROWS] * 3 + [1]
+        bench.integrate(SequenceSpec("sobol", 2), f, 3 * bench._EVAL_ROWS + 1)
+        assert rows == [bench._EVAL_ROWS] * 3 + [1]
 
     def test_integrand_shape_checked(self):
         with pytest.raises(ValueError, match=r"\(n,\) values"):
             bench.integrate(SequenceSpec("sobol", 2), lambda x: x, 10)
+
+    def test_points_come_from_one_generate_call(self, monkeypatch):
+        # per-layer tracing times the generator as the seqcore.generate call
+        # inside integrate
+        calls = []
+        generate = seqcore.generate
+        monkeypatch.setattr(seqcore, "generate", lambda spec, n: calls.append(n) or generate(spec, n))
+        bench.integrate(SequenceSpec("halton", 3), lambda x: x[:, 0], 20000)
+        assert calls == [20000]

@@ -551,33 +551,21 @@ class TestRowBlocks:
             np.testing.assert_array_equal(pts, ref[:n], err_msg=f"n={n}")
 
     @pytest.mark.parametrize("burn_in", [0, 128])
-    @pytest.mark.parametrize("n", edge_sizes(sq._NEURAL_ROWS))
+    @pytest.mark.parametrize("n", edge_sizes(sq._BLOCK_ROWS))
     @pytest.mark.parametrize(
         "bands, hidden, layers, d",
-        # the second model rounds a lone short last block differently
-        [(2, 8, 2, 2), (4, 32, 3, 1)],
-        ids=["tiny", "short-block-sensitive"],
+        # the wider model rounds 4096-row block products apart from whole-array ones
+        [(2, 8, 2, 2), (4, 48, 3, 3)],
+        ids=["tiny", "block-sensitive"],
     )
     def test_neural_matches_whole_array_forward(self, tmp_path, n, burn_in, bands, hidden, layers, d):
         from lowdisc import neuralnet as nn
 
-        model = nn.init_mlp(nn.EncodingConfig(bands=bands, n_norm=2**14), d, hidden, layers, seed=3)
+        model = nn.init_mlp(nn.EncodingConfig(bands=bands, n_norm=2**14), d, hidden, layers, seed=5)
         nn.save_model(model, tmp_path / "m.nn")
         spec = sq.SequenceSpec("neural", d, burn_in=burn_in, model_path=str(tmp_path / "m.nn"))
         whole = nn.forward(model, np.arange(burn_in + 1, burn_in + n + 1))
         np.testing.assert_array_equal(sq.generate(spec, n), whole)
-
-    def test_neural_rounding_of_a_wider_model(self, tmp_path):
-        # OpenBLAS picks its kernel by the matrix sizes: for this model the
-        # 4096-row block products and the 8193-row whole-array ones take
-        # different kernels, which round apart by a few units in the last place
-        from lowdisc import neuralnet as nn
-
-        model = nn.init_mlp(nn.EncodingConfig(bands=4, n_norm=2**14), 3, 48, 3, seed=5)
-        nn.save_model(model, tmp_path / "m.nn")
-        n = 2 * sq._NEURAL_ROWS + 1
-        spec = sq.SequenceSpec("neural", 3, model_path=str(tmp_path / "m.nn"))
-        np.testing.assert_array_max_ulp(sq.generate(spec, n), nn.forward(model, np.arange(1, n + 1)), 16)
 
     def test_neural_warns_once_per_call(self, tmp_path):
         from lowdisc import neuralnet as nn
@@ -585,24 +573,12 @@ class TestRowBlocks:
         model = nn.init_mlp(nn.EncodingConfig(bands=1, n_norm=10), 1, 4, 2, seed=0)
         nn.save_model(model, tmp_path / "m.nn")
         spec = sq.SequenceSpec("neural", 1, burn_in=5, model_path=str(tmp_path / "m.nn"))
-        n = 2 * sq._NEURAL_ROWS + 1
+        n = 2 * sq._BLOCK_ROWS + 1
         with pytest.warns(nn.ExtrapolationWarning) as record:
             sq.generate(spec, n)
         assert [str(w.message) for w in record] == [
             f"evaluating indices up to {5 + n} beyond the trained normalization length 10"
         ]
-
-    @pytest.mark.parametrize("kind, dim, seed, block", CLASSICAL, ids=[c[0] for c in CLASSICAL])
-    def test_blocks_stream_the_generated_rows(self, kind, dim, seed, block):
-        spec = sq.SequenceSpec(kind, dim, burn_in=3, seed=seed)
-        n = 2 * block + 5
-        whole = sq.generate(spec, n)
-        seen = 0
-        for lo, pts in sq.generate_blocks(spec, n):
-            assert lo == seen and 0 < len(pts) <= block
-            np.testing.assert_array_equal(pts, whole[lo : lo + len(pts)])
-            seen += len(pts)
-        assert seen == n
 
     @pytest.mark.parametrize("kind, seed", [("sobol", None), ("sobol-scrambled", 1), ("halton", None), ("uniform", 1)])
     def test_no_n_sized_temporaries(self, kind, seed):
