@@ -129,6 +129,8 @@ def integrate(
 
 def mc_reference(f, dim: int, n_samples: int, seed: int) -> float:
     """Plain Monte Carlo reference value with a documented seed."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     block = 1 << 18
     total = 0.0

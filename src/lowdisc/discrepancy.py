@@ -178,13 +178,13 @@ def kernel_constant(spec: KernelSpec, d: int) -> float:
     return float(np.prod([1.0 + g * c for g in spec.weights]))
 
 
-def _products(spec: KernelSpec, piece: str, pts: np.ndarray) -> np.ndarray:
-    """Per-point product over the coordinates of the one-dimensional
-    ``piece`` (``"b"`` or ``"kdiag"``), weighted as in the kernel."""
+def _factors(spec: KernelSpec, piece: str, pts: np.ndarray) -> np.ndarray:
+    """Per-coordinate values of the one-dimensional ``piece`` (``"b"`` or
+    ``"kdiag"``), weighted as in the kernel: 1 + gamma_j f."""
     vals = getattr(KERNELS[spec.family], piece)(pts)
     if spec.weights is not None:
         vals = 1.0 + np.asarray(spec.weights) * vals
-    return vals.prod(axis=1)
+    return vals
 
 
 def _kernel_factors(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> list:
@@ -282,15 +282,21 @@ def _sqrt_clamped(d2):
     return np.sqrt(np.clip(d2, 0.0, None))
 
 
+def _terms(spec: KernelSpec, points):
+    """Validated points and the terms of D^2: the constant c0, the
+    per-point b- and kdiag-products, and the pair row sums."""
+    pts = _as_points(points)
+    c0 = kernel_constant(spec, pts.shape[1])  # checks the weights' length
+    b = _factors(spec, "b", pts).prod(axis=1)
+    r = _pair_rowsums(spec, pts)
+    kd = _factors(spec, "kdiag", pts).prod(axis=1)
+    return pts, c0, b, r, kd
+
+
 def discrepancy_single(spec: KernelSpec, points) -> float:
     """Kernel discrepancy of the full point set."""
-    pts = _as_points(points)
-    n, d = pts.shape
-    spec._check_dim(d)
-    c0 = kernel_constant(spec, d)
-    b = _products(spec, "b", pts)
-    r = _pair_rowsums(spec, pts)
-    kd = _products(spec, "kdiag", pts)
+    pts, c0, b, r, kd = _terms(spec, points)
+    n = len(pts)
     d2 = c0 - 2.0 * b.sum() / n + (2.0 * r.sum() + kd.sum()) / n**2
     return float(_sqrt_clamped(d2))
 
@@ -301,16 +307,10 @@ def discrepancy_all_prefixes(spec: KernelSpec, points) -> np.ndarray:
     Running sums over the pair terms make the whole curve cost O(d N^2),
     the same order as the final entry alone.
     """
-    pts = _as_points(points)
-    n, d = pts.shape
-    spec._check_dim(d)
-    c0 = kernel_constant(spec, d)
-    b = _products(spec, "b", pts)
-    r = _pair_rowsums(spec, pts)
-    kd = _products(spec, "kdiag", pts)
+    pts, c0, b, r, kd = _terms(spec, points)
     s1 = _kahan_cumsum(b)
     s2 = _kahan_cumsum(2.0 * r + kd)
-    p = np.arange(1, n + 1, dtype=np.float64)
+    p = np.arange(1, len(pts) + 1, dtype=np.float64)
     d2 = c0 - 2.0 * s1 / p + s2 / p**2
     return _sqrt_clamped(d2)
 
@@ -370,6 +370,8 @@ def _loss_coefficients(weights: PrefixWeights, n: int):
     suffix sums over the prefixes that contain the point (P >= max(i, 2),
     1-based).
     """
+    if n < 2:
+        raise ValueError("prefix loss needs at least 2 points")
     w = weights.resolve(n)
     p = np.arange(2, n + 1, dtype=np.float64)
     beta = np.empty(n)
@@ -387,16 +389,8 @@ def prefix_loss(spec: KernelSpec, weights: PrefixWeights, points) -> float:
     Expanding each D^2(P) and collecting the coefficient of every b_i,
     k_ii, and k_ij term avoids the O(N^3) sum of per-prefix double sums.
     """
-    pts = _as_points(points)
-    n, d = pts.shape
-    if n < 2:
-        raise ValueError("prefix loss needs at least 2 points")
-    spec._check_dim(d)
-    w, alpha, beta = _loss_coefficients(weights, n)
-    c0 = kernel_constant(spec, d)
-    b = _products(spec, "b", pts)
-    r = _pair_rowsums(spec, pts)
-    kd = _products(spec, "kdiag", pts)
+    pts, c0, b, r, kd = _terms(spec, points)
+    w, alpha, beta = _loss_coefficients(weights, len(pts))
     return float(
         w.sum() * c0 + alpha @ b + beta @ kd + 2.0 * (beta @ r)
     )
@@ -422,21 +416,17 @@ def prefix_loss_grad(
     """Gradient of :func:`prefix_loss` with respect to every coordinate."""
     pts = _as_points(points)
     n, d = pts.shape
-    if n < 2:
-        raise ValueError("prefix loss needs at least 2 points")
     spec._check_dim(d)
     _, alpha, beta = _loss_coefficients(weights, n)
     fam = KERNELS[spec.family]
     gam = None if spec.weights is None else np.asarray(spec.weights)
 
-    bfac = fam.b(pts)
+    bfac = _factors(spec, "b", pts)
+    kdfac = _factors(spec, "kdiag", pts)
     bder = fam.db(pts)
-    kdfac = fam.kdiag(pts)
     kdder = fam.dkdiag(pts)
     if gam is not None:
-        bfac = 1.0 + gam * bfac
         bder = gam * bder
-        kdfac = 1.0 + gam * kdfac
         kdder = gam * kdder
 
     grad = alpha[:, None] * bder * np.stack(_loo_products(list(bfac.T)), axis=1)

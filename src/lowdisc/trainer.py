@@ -4,6 +4,11 @@ Stage one regresses the network onto a classical reference sequence with a
 mean-squared-error loss; stage two fine-tunes on the prefix-weighted
 squared-discrepancy loss with cosine learning-rate decay and best-loss
 checkpointing.  Runs are bit-reproducible for a fixed seed.
+
+Each stage is one forward -> loss -> step loop: the one forward of the
+parameters after step e gives epoch e's logged loss and step e + 1's
+gradient, so E epochs take E + 1 forwards.  A non-finite loss or gradient
+stops either stage with a note and returns its checkpoint.
 """
 
 from __future__ import annotations
@@ -157,32 +162,31 @@ def pretrain(cfg: TrainConfig, model: neuralnet.MlpModel | None = None):
         seqcore.SequenceSpec(cfg.reference_kind, cfg.dim, burn_in=cfg.burn_in),
         cfg.n_points,
     )
-    indices = np.arange(1, cfg.n_points + 1)
-    enc = neuralnet.encode_indices(model.encoding, indices)
+    enc = neuralnet.encode_indices(model.encoding, np.arange(1, cfg.n_points + 1))
     params = model.params()
     adam = neuralnet.AdamState.for_params(params)
     log = TrainLog()
     t0 = time.perf_counter()
-
-    def mse() -> float:
-        out = neuralnet._forward_encoded(model, enc)[0]
-        return float(((out - targets) ** 2).sum() / cfg.n_points)
-
-    log.append("pretrain", 0, mse(), cfg.pretrain_lr, time.perf_counter() - t0)
-    good = model.copy_params()
-    for epoch in range(1, cfg.pretrain_epochs + 1):
+    for epoch in range(cfg.pretrain_epochs + 1):
         out, acts = neuralnet._forward_encoded(model, enc)
-        upstream = 2.0 * (out - targets) / cfg.n_points
-        grads = neuralnet._backward_encoded(model, acts, upstream)
-        neuralnet.adam_step(adam, params, grads, cfg.pretrain_lr)
-        loss = mse()
+        loss = float(((out - targets) ** 2).sum() / cfg.n_points)
         if not np.isfinite(loss):
-            model.load_params(good)
-            log.notes.append(f"pretrain diverged at epoch {epoch}; restored last good checkpoint")
-            break
+            if epoch:
+                log.notes.append(f"pretrain diverged at epoch {epoch}; restored last good checkpoint")
+                break
+            log.notes.append("pretrain diverged at epoch 0: the starting model gives a non-finite loss; returned it unchanged")
         good = model.copy_params()
         log.append("pretrain", epoch, loss, cfg.pretrain_lr, time.perf_counter() - t0)
-    final = log.stage_losses("pretrain")[-1]
+        if epoch == cfg.pretrain_epochs or not np.isfinite(loss):
+            break
+        upstream = 2.0 * (out - targets) / cfg.n_points
+        grads = neuralnet._backward_encoded(model, acts, upstream)
+        try:
+            neuralnet.adam_step(adam, params, grads, cfg.pretrain_lr)
+        except ValueError as exc:  # a non-finite gradient; adam_step changed nothing
+            log.notes.append(f"pretrain diverged at epoch {epoch + 1}: {exc}; restored last good checkpoint")
+            break
+    model.load_params(good)
     model.meta.update(
         {
             "dim": cfg.dim,
@@ -192,7 +196,7 @@ def pretrain(cfg: TrainConfig, model: neuralnet.MlpModel | None = None):
             "seed": cfg.seed,
             "reference_kind": cfg.reference_kind,
             "pretrain_epochs": cfg.pretrain_epochs,
-            "pretrain_mse": final,
+            "pretrain_mse": log.stage_losses("pretrain")[-1],
         }
     )
     return model, log
@@ -207,43 +211,37 @@ def finetune(model: neuralnet.MlpModel, cfg: TrainConfig):
         )
     kspec = cfg.kernel_spec()
     weights = discrepancy.PrefixWeights(cfg.weight_scheme)
-    indices = np.arange(1, cfg.n_points + 1)
-    enc = neuralnet.encode_indices(model.encoding, indices)
+    enc = neuralnet.encode_indices(model.encoding, np.arange(1, cfg.n_points + 1))
     params = model.params()
     adam = neuralnet.AdamState.for_params(params)
     log = TrainLog()
     t0 = time.perf_counter()
-
-    def evaluate():
-        points = neuralnet._forward_encoded(model, enc)[0]
-        if not np.isfinite(points).all():
-            # prefix_loss rejects such points; report divergence as a nan loss
-            return points, np.nan
-        return points, discrepancy.prefix_loss(kspec, weights, points)
-
-    points, loss = evaluate()
-    epochs = cfg.finetune_epochs
-    if np.isfinite(loss):
-        _check_collapse(points)
-    else:
-        log.notes.append("finetune diverged at epoch 0: the starting model gives a non-finite loss; returned it unchanged")
-        epochs = 0
-    best_loss, best_params = loss, model.copy_params()
-    log.append("finetune", 0, loss, cosine_lr(cfg.finetune_lr, cfg.final_lr_ratio, 0, cfg.finetune_epochs), 0.0)
-    for epoch in range(1, epochs + 1):
-        lr = cosine_lr(cfg.finetune_lr, cfg.final_lr_ratio, epoch - 1, cfg.finetune_epochs)
-        out, acts = neuralnet._forward_encoded(model, enc)
-        upstream = discrepancy.prefix_loss_grad(kspec, weights, out)
-        grads = neuralnet._backward_encoded(model, acts, upstream)
-        neuralnet.adam_step(adam, params, grads, lr)
-        points, loss = evaluate()
+    lr = cosine_lr(cfg.finetune_lr, cfg.final_lr_ratio, 0, cfg.finetune_epochs)
+    for epoch in range(cfg.finetune_epochs + 1):
+        points, acts = neuralnet._forward_encoded(model, enc)
+        # prefix_loss rejects non-finite points; report divergence as a nan loss
+        loss = discrepancy.prefix_loss(kspec, weights, points) if np.isfinite(points).all() else np.nan
         if not np.isfinite(loss):
-            log.notes.append(f"finetune diverged at epoch {epoch}; restored best checkpoint")
-            break
-        _check_collapse(points)
-        if loss < best_loss:
+            if epoch:
+                log.notes.append(f"finetune diverged at epoch {epoch}; restored best checkpoint")
+                break
+            log.notes.append("finetune diverged at epoch 0: the starting model gives a non-finite loss; returned it unchanged")
+        else:
+            _check_collapse(points)
+        if epoch == 0 or loss < best_loss:
             best_loss, best_params = loss, model.copy_params()
-        log.append("finetune", epoch, loss, lr, time.perf_counter() - t0)
+        log.append("finetune", epoch, loss, lr, time.perf_counter() - t0 if epoch else 0.0)
+        if epoch == cfg.finetune_epochs or not np.isfinite(loss):
+            break
+        upstream = discrepancy.prefix_loss_grad(kspec, weights, points)
+        grads = neuralnet._backward_encoded(model, acts, upstream)
+        # step e + 1 takes cosine_lr(e), and epoch e + 1's loss is logged with it
+        lr = cosine_lr(cfg.finetune_lr, cfg.final_lr_ratio, epoch, cfg.finetune_epochs)
+        try:
+            neuralnet.adam_step(adam, params, grads, lr)
+        except ValueError as exc:  # a non-finite gradient; adam_step changed nothing
+            log.notes.append(f"finetune diverged at epoch {epoch + 1}: {exc}; restored best checkpoint")
+            break
     model.load_params(best_params)
     model.meta.update(
         {

@@ -355,3 +355,14 @@ class TestBlockwiseIntegration:
         monkeypatch.setattr(seqcore, "generate", lambda spec, n: calls.append(n) or generate(spec, n))
         bench.integrate(SequenceSpec("halton", 3), lambda x: x[:, 0], 20000)
         assert calls == [20000]
+
+
+class TestMcReferenceSampleCount:
+    @pytest.mark.parametrize("n_samples", [0, -5])
+    def test_rejects_fewer_than_one_sample(self, n_samples):
+        with pytest.raises(ValueError, match=f"n_samples must be >= 1, got {n_samples}"):
+            bench.mc_reference(lambda x: x[:, 0], 1, n_samples, seed=0)
+
+    def test_one_sample(self):
+        value = bench.mc_reference(lambda x: x[:, 0], 1, 1, seed=0)
+        assert value == np.random.default_rng(0).random((1, 1))[0, 0]

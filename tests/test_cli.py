@@ -215,3 +215,11 @@ class TestTrainNotes:
         assert code == 0
         err = capsys.readouterr().err
         assert "note: unsupported-regime warning: direct fine-tune without pretraining" in err
+
+
+class TestMcReferenceCount:
+    def test_zero_samples_exit_one_with_the_message(self, tmp_path, capsys):
+        code = run(["integrate", "--kind", "sobol", "--dim", "8", "--n", "16",
+                    "--mc-reference-n", "0", "--out", str(tmp_path / "err.csv")])
+        assert code == 1
+        assert "error: n_samples must be >= 1, got 0" in capsys.readouterr().err

@@ -307,3 +307,278 @@ class TestConfigValueErrors:
     def test_names_line_and_key(self, text, match):
         with pytest.raises(ValueError, match=match):
             tr.parse_config(text)
+
+
+# ---------------------------------------------------------------------------
+# The two-forward training loops the stages had before each became one
+# forward -> loss -> step loop: every epoch ran one forward for the gradient
+# and a second one for the loss after the step.  They are the oracle for the
+# one-forward loops, which must give the same parameters, log, notes and meta.
+
+def reference_pretrain(cfg, model=None):
+    encoding = nn.EncodingConfig(bands=cfg.bands, n_norm=cfg.n_norm)
+    if model is None:
+        model = nn.init_mlp(
+            encoding,
+            out_dim=cfg.dim,
+            hidden=cfg.hidden,
+            layers=cfg.layers,
+            seed=tr.seqcore.split_seed(cfg.seed, "init"),
+        )
+    targets = tr.seqcore.generate(
+        tr.seqcore.SequenceSpec(cfg.reference_kind, cfg.dim, burn_in=cfg.burn_in),
+        cfg.n_points,
+    )
+    enc = nn.encode_indices(model.encoding, np.arange(1, cfg.n_points + 1))
+    params = model.params()
+    adam = nn.AdamState.for_params(params)
+    log = tr.TrainLog()
+
+    def mse():
+        out = nn._forward_encoded(model, enc)[0]
+        return float(((out - targets) ** 2).sum() / cfg.n_points)
+
+    log.append("pretrain", 0, mse(), cfg.pretrain_lr, 0.0)
+    good = model.copy_params()
+    for epoch in range(1, cfg.pretrain_epochs + 1):
+        out, acts = nn._forward_encoded(model, enc)
+        upstream = 2.0 * (out - targets) / cfg.n_points
+        grads = nn._backward_encoded(model, acts, upstream)
+        nn.adam_step(adam, params, grads, cfg.pretrain_lr)
+        loss = mse()
+        if not np.isfinite(loss):
+            model.load_params(good)
+            log.notes.append(f"pretrain diverged at epoch {epoch}; restored last good checkpoint")
+            break
+        good = model.copy_params()
+        log.append("pretrain", epoch, loss, cfg.pretrain_lr, 0.0)
+    model.meta.update(
+        {
+            "dim": cfg.dim,
+            "n_train": cfg.n_points,
+            "loss_family": cfg.loss_family,
+            "burn_in": cfg.burn_in,
+            "seed": cfg.seed,
+            "reference_kind": cfg.reference_kind,
+            "pretrain_epochs": cfg.pretrain_epochs,
+            "pretrain_mse": log.stage_losses("pretrain")[-1],
+        }
+    )
+    return model, log
+
+
+def reference_finetune(model, cfg):
+    kspec = cfg.kernel_spec()
+    weights = disc.PrefixWeights(cfg.weight_scheme)
+    enc = nn.encode_indices(model.encoding, np.arange(1, cfg.n_points + 1))
+    params = model.params()
+    adam = nn.AdamState.for_params(params)
+    log = tr.TrainLog()
+
+    def evaluate():
+        points = nn._forward_encoded(model, enc)[0]
+        if not np.isfinite(points).all():
+            return points, np.nan
+        return points, disc.prefix_loss(kspec, weights, points)
+
+    points, loss = evaluate()
+    epochs = cfg.finetune_epochs
+    if np.isfinite(loss):
+        tr._check_collapse(points)
+    else:
+        log.notes.append("finetune diverged at epoch 0: the starting model gives a non-finite loss; returned it unchanged")
+        epochs = 0
+    best_loss, best_params = loss, model.copy_params()
+    log.append("finetune", 0, loss, tr.cosine_lr(cfg.finetune_lr, cfg.final_lr_ratio, 0, cfg.finetune_epochs), 0.0)
+    for epoch in range(1, epochs + 1):
+        lr = tr.cosine_lr(cfg.finetune_lr, cfg.final_lr_ratio, epoch - 1, cfg.finetune_epochs)
+        out, acts = nn._forward_encoded(model, enc)
+        upstream = disc.prefix_loss_grad(kspec, weights, out)
+        grads = nn._backward_encoded(model, acts, upstream)
+        nn.adam_step(adam, params, grads, lr)
+        points, loss = evaluate()
+        if not np.isfinite(loss):
+            log.notes.append(f"finetune diverged at epoch {epoch}; restored best checkpoint")
+            break
+        tr._check_collapse(points)
+        if loss < best_loss:
+            best_loss, best_params = loss, model.copy_params()
+        log.append("finetune", epoch, loss, lr, 0.0)
+    model.load_params(best_params)
+    model.meta.update(
+        {
+            "finetune_epochs": cfg.finetune_epochs,
+            "weight_scheme": cfg.weight_scheme,
+            "finetune_loss": best_loss,
+        }
+    )
+    if cfg.gamma is not None:
+        model.meta["gamma"] = ",".join(f"{g:.17g}" for g in cfg.gamma)
+    return model, log
+
+
+def assert_same_run(got, want):
+    """Equal parameters, log tuples (without seconds), notes and meta;
+    nan equals nan."""
+    (model, log), (ref_model, ref_log) = got, want
+    for a, b in zip(model.params(), ref_model.params(), strict=True):
+        np.testing.assert_array_equal(a, b)
+    assert [(r.stage, r.epoch) for r in log.records] == [(r.stage, r.epoch) for r in ref_log.records]
+    np.testing.assert_array_equal([(r.loss, r.lr) for r in log.records],
+                                  [(r.loss, r.lr) for r in ref_log.records])
+    assert log.notes == ref_log.notes
+    assert model.meta.keys() == ref_model.meta.keys()
+    for key, value in model.meta.items():
+        np.testing.assert_array_equal(value, ref_model.meta[key], err_msg=key)
+
+
+def run_both_stages(stage_pair, cfg):
+    pretrain, finetune = stage_pair
+    model, log = pretrain(cfg)
+    model, ftlog = finetune(model, cfg)
+    return model, log, ftlog
+
+
+ONE_FORWARD_CONFIGS = {
+    "sym": {},
+    "weighted-ctr-length-proportional": dict(
+        dim=2, loss_family="ctr", gamma=(1.0, 0.3), weight_scheme="length-proportional"),
+    "star-halton": dict(dim=2, loss_family="star", reference_kind="halton"),
+    "no-pretrain": dict(pretrain_epochs=0, finetune_epochs=5),
+    "no-finetune": dict(finetune_epochs=0),
+    "one-epoch-each": dict(pretrain_epochs=1, finetune_epochs=1),
+}
+
+
+class TestOneForwardPerEpoch:
+    @pytest.mark.parametrize("over", ONE_FORWARD_CONFIGS.values(), ids=ONE_FORWARD_CONFIGS)
+    def test_matches_two_forward_reference(self, over):
+        cfg = small_cfg(**over)
+        got = run_both_stages((tr.pretrain, tr.finetune), cfg)
+        want = run_both_stages((reference_pretrain, reference_finetune), cfg)
+        assert_same_run(got[:2], want[:2])
+        assert_same_run((got[0], got[2]), (want[0], want[2]))
+
+    def test_diverging_lr_raises_the_same_collapse(self):
+        cfg = small_cfg(dim=2, finetune_lr=5.0)
+        with pytest.raises(tr.CollapseError) as ref_exc:
+            run_both_stages((reference_pretrain, reference_finetune), cfg)
+        with pytest.raises(tr.CollapseError) as exc:
+            run_both_stages((tr.pretrain, tr.finetune), cfg)
+        assert str(exc.value) == str(ref_exc.value)
+
+    @pytest.mark.parametrize("poisoned_at", [1, 3])
+    def test_poisoned_step_matches_reference(self, monkeypatch, poisoned_at):
+        real_step = nn.adam_step
+
+        def poisoned_step(state, params, grads, lr):
+            real_step(state, params, grads, lr)
+            if state.step == poisoned_at:
+                for p in params:
+                    p[...] = np.nan
+
+        monkeypatch.setattr(nn, "adam_step", poisoned_step)
+        cfg = small_cfg(pretrain_epochs=6, finetune_epochs=6)
+        got = run_both_stages((tr.pretrain, tr.finetune), cfg)
+        want = run_both_stages((reference_pretrain, reference_finetune), cfg)
+        assert_same_run(got[:2], want[:2])
+        assert_same_run((got[0], got[2]), (want[0], want[2]))
+        assert f"pretrain diverged at epoch {poisoned_at}; restored last good checkpoint" in got[1].notes
+        assert f"finetune diverged at epoch {poisoned_at}; restored best checkpoint" in got[2].notes
+
+    def test_nonfinite_starting_model_matches_reference_finetune(self):
+        cfg = small_cfg(pretrain_epochs=1)
+        model, _ = tr.pretrain(cfg)
+        for p in model.params():
+            p[...] = np.nan
+        got = tr.finetune(copy.deepcopy(model), cfg)
+        want = reference_finetune(copy.deepcopy(model), cfg)
+        assert_same_run(got, want)
+
+    @pytest.mark.parametrize("epochs", [0, 1, 7])
+    def test_forwards_per_stage(self, monkeypatch, epochs):
+        calls = {"forward": 0, "prefix_loss": 0, "prefix_loss_grad": 0}
+
+        def counted(module, name, key):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(nn, "_forward_encoded", "forward")
+        counted(disc, "prefix_loss", "prefix_loss")
+        counted(disc, "prefix_loss_grad", "prefix_loss_grad")
+        cfg = small_cfg(pretrain_epochs=epochs, finetune_epochs=epochs)
+        model, _ = tr.pretrain(cfg)
+        assert calls == {"forward": epochs + 1, "prefix_loss": 0, "prefix_loss_grad": 0}
+        tr.finetune(model, cfg)
+        assert calls == {"forward": 2 * (epochs + 1), "prefix_loss": epochs + 1,
+                         "prefix_loss_grad": epochs}
+
+
+class TestOneDivergencePolicy:
+    """A non-finite gradient or starting loss stops either stage with a
+    note and returns its checkpoint instead of raising."""
+
+    @staticmethod
+    def nan_gradient_at(monkeypatch, call):
+        real_backward = nn._backward_encoded
+        seen = {"calls": 0}
+
+        def backward(model, acts, upstream):
+            grads = real_backward(model, acts, upstream)
+            seen["calls"] += 1
+            if seen["calls"] == call:
+                grads[0][...] = np.nan
+            return grads
+
+        monkeypatch.setattr(nn, "_backward_encoded", backward)
+
+    def test_pretrain_nonfinite_gradient_keeps_last_good(self, monkeypatch):
+        cfg = small_cfg(pretrain_epochs=8)
+        want, _ = tr.pretrain(small_cfg(pretrain_epochs=2))
+        self.nan_gradient_at(monkeypatch, 3)
+        model, log = tr.pretrain(cfg)
+        assert log.notes == [
+            "pretrain diverged at epoch 3: non-finite gradient in layer 0 weights; "
+            "restored last good checkpoint"
+        ]
+        assert [r.epoch for r in log.records] == [0, 1, 2]
+        for a, b in zip(model.params(), want.params(), strict=True):
+            np.testing.assert_array_equal(a, b)
+        assert model.meta["pretrain_mse"] == log.records[-1].loss
+
+    def test_finetune_nonfinite_gradient_keeps_best(self, monkeypatch):
+        cfg = small_cfg(finetune_epochs=8)
+        start, _ = tr.pretrain(cfg)
+        _, want_log = tr.finetune(copy.deepcopy(start), cfg)
+        self.nan_gradient_at(monkeypatch, 4)
+        model, log = tr.finetune(copy.deepcopy(start), cfg)
+        assert log.notes == [
+            "finetune diverged at epoch 4: non-finite gradient in layer 0 weights; "
+            "restored best checkpoint"
+        ]
+        assert [r.epoch for r in log.records] == [0, 1, 2, 3]
+        assert [r.loss for r in log.records] == [r.loss for r in want_log.records[:4]]
+        best = min(r.loss for r in log.records)
+        assert model.meta["finetune_loss"] == best
+        points = nn.forward(model, np.arange(1, cfg.n_points + 1))
+        recomputed = disc.prefix_loss(cfg.kernel_spec(), disc.PrefixWeights(cfg.weight_scheme), points)
+        assert recomputed == pytest.approx(best, rel=1e-12)
+
+    def test_pretrain_nonfinite_starting_model_is_returned_with_a_note(self):
+        cfg = small_cfg(pretrain_epochs=5)
+        model, _ = tr.pretrain(small_cfg(pretrain_epochs=0))
+        for p in model.params():
+            p[...] = np.nan
+        tuned, log = tr.pretrain(cfg, model)
+        assert log.notes == [
+            "pretrain diverged at epoch 0: the starting model gives a non-finite loss; "
+            "returned it unchanged"
+        ]
+        assert [r.epoch for r in log.records] == [0]
+        assert np.isnan(log.records[0].loss) and np.isnan(tuned.meta["pretrain_mse"])
+        assert all(np.isnan(p).all() for p in tuned.params())
