@@ -4,9 +4,22 @@ and a QMC integration error table against an in-run Monte Carlo reference.
 """
 
 import argparse
+import tempfile
+from pathlib import Path
 
-from lowdisc import bench
-from lowdisc import seqcore as sq
+import numpy as np
+
+from lowdisc import cli
+
+
+def lowdisc(*argv) -> None:
+    code = cli.main([str(a) for a in argv])
+    if code:
+        raise SystemExit(code)
+
+
+def read_table(path) -> np.ndarray:
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, dtype=str)
 
 
 def main() -> None:
@@ -21,42 +34,32 @@ def main() -> None:
     ap.add_argument("--errors-out", default="borehole_errors.csv", dest="errors_out")
     args = ap.parse_args()
 
-    result = bench.sensitivity(
-        bench.borehole, dim=8, base_n=args.base_n, seed=sq.split_seed(args.seed, "sens")
-    )
-    gamma = bench.weights_from_sensitivity(result, args.gamma_floor)
-    with open(args.sens_out, "w") as fh:
-        fh.write("param,S1,ST\n")
-        for name, s1, st in zip(bench.BOREHOLE_PARAMS, result.first_order, result.total):
-            fh.write(f"{name},{s1:.17g},{st:.17g}\n")
+    lowdisc("sensitivity", "--integrand", "borehole", "--base-n", args.base_n, "--seed", args.seed,
+            "--gamma-floor", args.gamma_floor, "--out", args.sens_out)
     print(f"sensitivity ({args.base_n} base samples) -> {args.sens_out}")
-    for name, s1, st in zip(bench.BOREHOLE_PARAMS, result.first_order, result.total):
-        print(f"  {name:>4}: S1={s1:8.4f}  ST={st:8.4f}")
-    print("gamma:", ", ".join(f"{g:.4f}" for g in gamma))
+    for name, s1, st in read_table(args.sens_out):
+        print(f"  {name:>4}: S1={float(s1):8.4f}  ST={float(st):8.4f}")
 
-    reference = bench.mc_reference(
-        bench.borehole, 8, args.mc_reference_n, sq.split_seed(args.seed, "reference")
-    )
-    print(f"\nreference ({args.mc_reference_n} MC samples): {reference:.6f}")
-    specs = {
-        "sobol": sq.SequenceSpec("sobol", 8),
-        "halton": sq.SequenceSpec("halton", 8),
-    }
-    if args.model:
-        specs["neural"] = sq.SequenceSpec("neural", 8, model_path=args.model)
-    errors = {
-        name: bench.integrate(spec, bench.borehole, args.n, reference=reference).errors
-        for name, spec in specs.items()
-    }
-    checkpoints = [c for c in bench.CHECKPOINT_GRID if c <= args.n]
+    # every integrate run draws the same Monte Carlo reference from --seed
+    kinds = ["sobol", "halton"] + (["neural"] if args.model else [])
+    errors = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for kind in kinds:
+            path = Path(tmp) / f"{kind}.csv"
+            print(f"\n{kind}:")
+            model = ["--model", args.model] if kind == "neural" else []
+            lowdisc("integrate", "--kind", kind, "--dim", 8, "--n", args.n, "--integrand", "borehole",
+                    "--mc-reference-n", args.mc_reference_n, "--seed", args.seed, "--out", path, *model)
+            errors[kind] = read_table(path)
+    checkpoints = errors["sobol"][:, 0]
     with open(args.errors_out, "w") as fh:
-        fh.write("N," + ",".join(specs) + "\n")
+        fh.write("N," + ",".join(kinds) + "\n")
         for row, n_ck in enumerate(checkpoints):
-            fh.write(f"{n_ck}," + ",".join(f"{errors[s][row]:.17g}" for s in specs) + "\n")
-    print(f"error table -> {args.errors_out}")
-    print("      N " + "".join(f"{s:>12}" for s in specs))
+            fh.write(f"{n_ck}," + ",".join(errors[k][row, 1] for k in kinds) + "\n")
+    print(f"\nerror table -> {args.errors_out}")
+    print("      N " + "".join(f"{k:>12}" for k in kinds))
     for row, n_ck in enumerate(checkpoints):
-        print(f"{n_ck:>7} " + "".join(f"{errors[s][row]:>12.4f}" for s in specs))
+        print(f"{n_ck:>7} " + "".join(f"{float(errors[k][row, 1]):>12.4f}" for k in kinds))
 
 
 if __name__ == "__main__":

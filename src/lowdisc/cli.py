@@ -4,7 +4,9 @@ Subcommands cover generation, discrepancy curves, training, scrambling,
 integration studies, sensitivity analysis, and RRT planning sweeps; every
 output is CSV so external tools can plot it.  All randomized behavior keys
 off one ``--seed``; sub-seeds are derived with ``seqcore.split_seed``.
-Exit codes: 0 success, 1 runtime error, 2 usage error.
+Every command runs single-threaded and deterministically; ``--threads`` and
+``--deterministic`` are accepted on every subcommand for compatibility and
+change nothing.  Exit codes: 0 success, 1 runtime error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -18,13 +20,13 @@ from . import bench, discrepancy, neuralnet, rrtplan, seqcore, trainer
 from .seqcore import SequenceSpec
 
 
-def _build_spec(args, kind=None) -> SequenceSpec:
+def _build_spec(args, kind=None, label="sequence") -> SequenceSpec:
     kind = kind or args.kind
     seed = None
     if kind in seqcore.RANDOMIZED_KINDS:
         if args.seed is None:
             raise ValueError(f"kind {kind!r} needs --seed")
-        seed = seqcore.split_seed(args.seed, "sequence", kind)
+        seed = seqcore.split_seed(args.seed, label, kind)
     model_path = getattr(args, "model", None) if kind == "neural" else None
     return SequenceSpec(
         kind=kind,
@@ -141,13 +143,7 @@ def _cmd_sensitivity(args) -> None:
 
 def _cmd_plan(args) -> None:
     widths = [float(w) for w in args.widths.split(",")]
-    sources = []
-    for kind in args.sources.split(","):
-        kind = kind.strip()
-        seed = None
-        if kind in seqcore.RANDOMIZED_KINDS:
-            seed = seqcore.split_seed(args.seed or 0, "plan-source", kind)
-        sources.append(SequenceSpec(kind, 4, seed=seed))
+    sources = [_build_spec(args, kind.strip(), "plan-source") for kind in args.sources.split(",")]
     cfg = rrtplan.RrtConfig(
         max_iters=args.k, step=args.step, goal_tol=args.goal_tol
     )
@@ -156,9 +152,8 @@ def _cmd_plan(args) -> None:
         args.reps,
         sources,
         cfg,
-        seed=seqcore.split_seed(args.seed or 0, "plan-envs"),
+        seed=seqcore.split_seed(args.seed, "plan-envs"),
         sequence_length=args.k,
-        threads=args.threads,
     )
     with open(args.out, "w") as fh:
         fh.write("source,width,success_pct\n")
@@ -175,12 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def shared(p, seed_help="master seed for randomized behavior"):
         p.add_argument("--seed", type=int, default=None, help=seed_help)
-        p.add_argument("--threads", type=int, default=1, help="worker cap (default 1: deterministic)")
-        p.add_argument(
-            "--deterministic",
-            action="store_true",
-            help="force single-threaded fixed-order execution",
-        )
+        compat = "accepted for compatibility; every command runs single-threaded and deterministically"
+        p.add_argument("--threads", type=int, default=1, help=compat)
+        p.add_argument("--deterministic", action="store_true", help=compat)
 
     p = sub.add_parser("generate", help="write points of a sequence to a file")
     p.add_argument("--kind", choices=seqcore.KINDS, required=True)
@@ -260,13 +252,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="RRT success-rate sweep")
     p.add_argument("--widths", default="0.40,0.44,0.48,0.52,0.56,0.60,0.64")
     p.add_argument("--reps", type=int, default=20)
-    p.add_argument("--sources", default="sobol,halton,uniform")
+    p.add_argument("--sources", default="sobol,halton,uniform", help="comma-separated sequence kinds")
+    p.add_argument("--model", help="model file (source neural)")
     p.add_argument("--k", type=int, default=10_000, help="iteration budget per plan")
     p.add_argument("--step", type=float, default=0.05)
     p.add_argument("--goal-tol", type=float, default=0.08, dest="goal_tol")
     p.add_argument("--out", required=True)
-    shared(p)
-    p.set_defaults(func=_cmd_plan)
+    shared(p, seed_help="master seed for randomized behavior (default 0)")
+    # the sweep's sequences are 4-d configurations consumed from raw index 0
+    p.set_defaults(func=_cmd_plan, seed=0, dim=4, burn_in=0)
 
     return parser
 
@@ -274,8 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "deterministic", False):
-        args.threads = 1
     try:
         args.func(args)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits

@@ -275,6 +275,7 @@ def save_model(model: MlpModel, path) -> None:
 
 
 def load_model(path) -> MlpModel:
+    """Read a model file; every malformed file raises a ``ValueError`` naming it."""
     data = Path(path).read_bytes()
     if len(data) < _HEADER.size:
         raise ValueError(f"{path}: truncated model file")
@@ -283,24 +284,37 @@ def load_model(path) -> MlpModel:
         raise ValueError(f"{path}: not a model file (bad magic)")
     if version != MODEL_VERSION:
         raise ValueError(f"{path}: unsupported model version {version}")
-    offset = _HEADER.size
-    weights, biases = [], []
+    if min(bands, n_norm, n_layers) < 1:
+        raise ValueError(f"{path}: bands {bands}, n_norm {n_norm} and n_layers {n_layers} must all be >= 1")
     try:
-        dims = np.frombuffer(data, dtype="<u4", count=n_layers + 1, offset=offset).astype(int)
-        offset += 4 * (n_layers + 1)
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            w = np.frombuffer(data, dtype="<f8", count=fan_in * fan_out, offset=offset)
-            offset += 8 * fan_in * fan_out
-            b = np.frombuffer(data, dtype="<f8", count=fan_out, offset=offset)
-            offset += 8 * fan_out
-            weights.append(w.reshape(fan_in, fan_out).copy())
-            biases.append(b.copy())
-    except ValueError as exc:  # np.frombuffer past the end of the data
-        raise ValueError(f"{path}: truncated model file ({exc})") from None
+        family = family.rstrip(b"\0").decode()
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: loss family {family!r} is not UTF-8") from None
+    offset = _HEADER.size + 4 * (n_layers + 1)
+    if len(data) < offset:
+        raise ValueError(f"{path}: truncated model file (no room for {n_layers + 1} layer widths)")
+    dims = np.frombuffer(data, dtype="<u4", count=n_layers + 1, offset=_HEADER.size).tolist()
+    if dims[0] != 1 + 2 * bands or min(dims) < 1:
+        raise ValueError(
+            f"{path}: layer widths {dims} must be >= 1 and start with the "
+            f"encoding width 1 + 2 * bands = {1 + 2 * bands}"
+        )
+    size = offset + 8 * sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+    if len(data) != size:
+        problem = "truncated model file" if len(data) < size else "trailing bytes after the last layer"
+        raise ValueError(f"{path}: {problem} ({len(data)} bytes, the layer widths need {size})")
+    weights, biases = [], []
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        weights.append(np.frombuffer(data, "<f8", fan_in * fan_out, offset).reshape(fan_in, fan_out).copy())
+        offset += 8 * fan_in * fan_out
+        biases.append(np.frombuffer(data, "<f8", fan_out, offset).copy())
+        offset += 8 * fan_out
+    if not all(np.isfinite(p).all() for p in weights + biases):
+        raise ValueError(f"{path}: non-finite parameters")
     meta = {
         "burn_in": burn_in,
         "seed": seed,
-        "loss_family": family.rstrip(b"\0").decode(),
+        "loss_family": family,
         "hidden": int(dims[1]) if n_layers > 1 else int(dims[-1]),
         "layers": n_layers,
     }

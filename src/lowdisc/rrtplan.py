@@ -10,7 +10,7 @@ a fixed tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -294,22 +294,7 @@ def write_tree_csv(result: RrtResult, path) -> None:
             fh.write(f"{i},{parent},{coords}\n")
 
 
-DEFAULT_WIDTHS = (0.40, 0.44, 0.48, 0.52, 0.56, 0.60, 0.64)
 N_PRECOMPUTED_SEQUENCES = 10
-
-
-def _source_samples(spec: SequenceSpec, n: int, variant: int) -> np.ndarray:
-    """Sample array for one precomputed sequence of a source.
-
-    Deterministic kinds have a single sequence; randomized kinds get a
-    sub-seeded variant so repetitions can rotate through distinct draws.
-    """
-    if spec.kind in seqcore.RANDOMIZED_KINDS:
-        seed = seqcore.split_seed(spec.seed, "rrt-sequence", variant)
-        spec = SequenceSpec(
-            spec.kind, spec.dim, burn_in=spec.burn_in, seed=seed
-        )
-    return seqcore.generate(spec, n)
 
 
 def success_rate(
@@ -331,50 +316,34 @@ def success_rate(
     of every source and every width sees the same placement (widths are
     paired, so the free space genuinely grows along a row).  Returns rows
     (source label, width, success percent).
+
+    Cells run one after another in a fixed order.  ``threads`` is accepted
+    for compatibility and ignored: a thread pool made the sweep slower, not
+    faster, because the planner's many small numpy calls run under the
+    interpreter lock.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     if env_factory is None:
         env_factory = ChainEnv.tunnel_env
     n = min(sequence_length, cfg.max_iters)
-    per_source: list[list[np.ndarray]] = []
-    for spec in sources:
-        variants = (
-            min(reps, N_PRECOMPUTED_SEQUENCES)
-            if spec.kind in seqcore.RANDOMIZED_KINDS
-            else 1
-        )
-        per_source.append([_source_samples(spec, n, v) for v in range(variants)])
-
-    cells = [
-        (si, width, rep)
-        for si in range(len(sources))
-        for width in widths
-        for rep in range(reps)
-    ]
-
-    def run_cell(cell):
-        si, width, rep = cell
-        env = env_factory(width, seqcore.split_seed(seed, "rrt-env", rep))
-        seqs = per_source[si]
-        samples = seqs[rep % len(seqs)]
-        return rrt_plan(env, cfg, samples).success
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_cell, cells))
-    else:
-        outcomes = [run_cell(cell) for cell in cells]
-
     rows = []
-    for si, spec in enumerate(sources):
+    for spec in sources:
+        if spec.kind in seqcore.RANDOMIZED_KINDS:
+            seqs = [
+                seqcore.generate(replace(spec, seed=seqcore.split_seed(spec.seed, "rrt-sequence", v)), n)
+                for v in range(min(reps, N_PRECOMPUTED_SEQUENCES))
+            ]
+        else:
+            seqs = [seqcore.generate(spec, n)]
         for width in widths:
             hits = [
-                ok
-                for cell, ok in zip(cells, outcomes)
-                if cell[0] == si and cell[1] == width
+                rrt_plan(
+                    env_factory(width, seqcore.split_seed(seed, "rrt-env", rep)),
+                    cfg,
+                    seqs[rep % len(seqs)],
+                ).success
+                for rep in range(reps)
             ]
             rows.append((spec.kind, float(width), 100.0 * np.mean(hits)))
     return rows

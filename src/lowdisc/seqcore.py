@@ -620,14 +620,30 @@ def save_points_csv(points: np.ndarray, path) -> None:
     np.savetxt(path, np.atleast_2d(points), fmt="%.17g", delimiter=",")
 
 
+def _unit_cube_points(points: np.ndarray, path) -> np.ndarray:
+    """The loaded points, or a ValueError naming the file and the first
+    point that is not a finite point of the unit cube."""
+    if points.size == 0:
+        raise ValueError(f"{path}: point file holds no points")
+    bad = ~((points >= 0.0) & (points <= 1.0)).all(axis=1)  # nan fails both
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(
+            f"{path}: point {row + 1} {points[row].tolist()} is not a finite "
+            "point of the unit cube [0, 1]^d"
+        )
+    return points
+
+
 def load_points_csv(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        if not any(line.strip() for line in fh):
+        if not any(line.split(b"#", 1)[0].strip() for line in fh):  # '#' starts a comment
             raise ValueError(f"{path}: point file is empty")
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
+        points = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:  # a ragged row or a cell that is not a number
         raise ValueError(f"{path}: {exc}") from None
+    return _unit_cube_points(points, path)
 
 
 def save_points_bin(points: np.ndarray, path) -> None:
@@ -655,7 +671,7 @@ def load_points_bin(path) -> np.ndarray:
     body = np.frombuffer(data, dtype="<f8", offset=_POINT_HEADER.size)
     if body.size != n * d:
         raise ValueError(f"{path}: truncated point file")
-    return body.reshape(n, d).copy()
+    return _unit_cube_points(body.reshape(n, d).copy(), path)
 
 
 def load_points(path) -> np.ndarray:

@@ -8,7 +8,9 @@ checkpointing.  Runs are bit-reproducible for a fixed seed.
 Each stage is one forward -> loss -> step loop: the one forward of the
 parameters after step e gives epoch e's logged loss and step e + 1's
 gradient, so E epochs take E + 1 forwards.  A non-finite loss or gradient
-stops either stage with a note and returns its checkpoint.
+stops either stage with a note and returns its checkpoint; so does a
+collapse after the first fine-tuning epoch.  A model that has collapsed
+before fine-tuning starts raises ``CollapseError``.
 """
 
 from __future__ import annotations
@@ -74,8 +76,10 @@ class TrainConfig:
             self.n_norm = self.n_points
         if self.dim < 1 or self.n_points < 2:
             raise ValueError("need dim >= 1 and n_points >= 2")
-        if self.pretrain_lr <= 0 or self.finetune_lr <= 0:
-            raise ValueError("learning rates must be positive")
+        if min(self.hidden, self.layers, self.bands, self.n_norm) < 1 or self.burn_in < 0:
+            raise ValueError("need hidden, layers, bands and n_norm >= 1 and burn_in >= 0")
+        if not (0.0 < self.pretrain_lr < np.inf and 0.0 < self.finetune_lr < np.inf):
+            raise ValueError("learning rates must be positive and finite")
         if not 0.0 < self.final_lr_ratio <= 1.0:
             raise ValueError("final_lr_ratio must lie in (0, 1]")
         if self.pretrain_epochs < 0 or self.finetune_epochs < 0:
@@ -84,6 +88,8 @@ class TrainConfig:
             raise ValueError("reference_kind must be 'sobol' or 'halton'")
         if self.gamma is not None:
             self.gamma = tuple(float(g) for g in self.gamma)
+            if len(self.gamma) != self.dim or not all(0.0 < g < np.inf for g in self.gamma):
+                raise ValueError(f"gamma must hold {self.dim} positive finite weights, got {self.gamma}")
         # validate the scheme eagerly
         discrepancy.PrefixWeights(self.weight_scheme)
 
@@ -204,7 +210,11 @@ def pretrain(cfg: TrainConfig, model: neuralnet.MlpModel | None = None):
 
 def finetune(model: neuralnet.MlpModel, cfg: TrainConfig):
     """Full-batch gradient descent on the prefix-discrepancy loss with
-    cosine learning-rate decay; returns the best-loss checkpoint."""
+    cosine learning-rate decay; returns the best-loss checkpoint.
+
+    Raises ``CollapseError`` when the starting model's points have already
+    collapsed; a later collapse stops training with a note instead.
+    """
     if model.out_dim != cfg.dim:
         raise ValueError(
             f"model emits dimension {model.out_dim}, config asks for {cfg.dim}"
@@ -227,7 +237,13 @@ def finetune(model: neuralnet.MlpModel, cfg: TrainConfig):
                 break
             log.notes.append("finetune diverged at epoch 0: the starting model gives a non-finite loss; returned it unchanged")
         else:
-            _check_collapse(points)
+            try:
+                _check_collapse(points)
+            except CollapseError as exc:
+                if not epoch:
+                    raise
+                log.notes.append(f"finetune collapsed at epoch {epoch}: {exc}; restored best checkpoint")
+                break
         if epoch == 0 or loss < best_loss:
             best_loss, best_params = loss, model.copy_params()
         log.append("finetune", epoch, loss, lr, time.perf_counter() - t0 if epoch else 0.0)
@@ -318,5 +334,9 @@ def parse_config(text: str) -> TrainConfig:
 
 
 def load_config(path) -> TrainConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    """Read a config file; every error names the file."""
+    try:
+        with open(path) as fh:
+            return parse_config(fh.read())
+    except ValueError as exc:  # also text that does not decode
+        raise ValueError(f"{path}: {exc}") from None

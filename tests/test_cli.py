@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lowdisc import cli, discrepancy, seqcore
+from lowdisc import cli, discrepancy, neuralnet, rrtplan, seqcore
 from lowdisc.seqcore import SequenceSpec
 
 
@@ -97,6 +97,20 @@ class TestDisc:
         assert out.read_text().splitlines()[0] == "P,star,ctr"
 
 
+class TestDiscBadPoints:
+    @pytest.mark.parametrize("name, content", [("nan.csv", "0.1,nan\n"), ("out.csv", "0.1,7\n")])
+    def test_csv_names_the_file(self, tmp_path, capsys, name, content):
+        (tmp_path / name).write_text(content)
+        assert run(["disc", "--points", str(tmp_path / name), "--out", str(tmp_path / "d.csv")]) == 1
+        assert f"{tmp_path / name}: point 1" in capsys.readouterr().err
+
+    def test_bin_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "neg.bin"
+        seqcore.save_points_bin(np.array([[0.25, 0.5], [-0.5, 0.5]]), path)
+        assert run(["disc", "--points", str(path), "--out", str(tmp_path / "d.csv")]) == 1
+        assert f"{path}: point 2" in capsys.readouterr().err
+
+
 class TestScramble:
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -187,6 +201,27 @@ class TestPlan:
             label, width, pct = line.split(",")
             assert label in ("sobol", "uniform")
             assert 0.0 <= float(pct) <= 100.0
+
+
+class TestPlanModel:
+    def test_neural_source(self, tmp_path):
+        model_path = tmp_path / "m.nn"
+        encoding = neuralnet.EncodingConfig(bands=2, n_norm=200)
+        neuralnet.save_model(neuralnet.init_mlp(encoding, out_dim=4, hidden=8, layers=2, seed=5), model_path)
+        out = tmp_path / "plan.csv"
+        assert run(["plan", "--widths", "0.6", "--reps", "1", "--sources", "sobol,neural",
+                    "--model", str(model_path), "--k", "200", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "source,width,success_pct"
+        assert [line.split(",")[0] for line in lines[1:]] == ["sobol", "neural"]
+        rows = rrtplan.success_rate(
+            [0.6], 1, [SequenceSpec("sobol", 4), SequenceSpec("neural", 4, model_path=str(model_path))],
+            rrtplan.RrtConfig(max_iters=200), seed=seqcore.split_seed(0, "plan-envs"), sequence_length=200)
+        assert lines[1:] == [f"{label},{width:g},{pct:.2f}" for label, width, pct in rows]
+
+    def test_neural_source_needs_model(self, tmp_path, capsys):
+        assert run(["plan", "--sources", "neural", "--out", str(tmp_path / "p.csv")]) == 1
+        assert "model_path" in capsys.readouterr().err
 
 
 class TestScrambleIsGenerate:

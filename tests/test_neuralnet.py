@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lowdisc import neuralnet as nn
 
@@ -229,3 +231,62 @@ class TestTruncatedModel:
         path.write_bytes(path.read_bytes()[:keep])
         with pytest.raises(ValueError, match="cut.nn: truncated model file"):
             nn.load_model(path)
+
+
+HEADER_FIELDS = ("magic", "version", "bands", "n_norm", "burn_in", "seed", "n_layers", "family")
+
+
+def saved_bytes(folder, widths=None, suffix=b"", last_bias=0.0, **header):
+    """A saved tiny model (layer widths 5, 6, 6, 2) with header fields,
+    layer widths and its last bias replaced and ``suffix`` appended."""
+    model = tiny_model()
+    model.meta["loss_family"] = "sym"
+    model.biases[-1][-1] = last_bias
+    nn.save_model(model, folder / "saved.nn")
+    data = (folder / "saved.nn").read_bytes()
+    fields = dict(zip(HEADER_FIELDS, nn._HEADER.unpack_from(data)))
+    fields.update(header)
+    widths = np.asarray(widths or model.layer_dims, "<u4").tobytes()
+    return nn._HEADER.pack(*fields.values()) + widths + data[nn._HEADER.size + len(widths):] + suffix
+
+
+MALFORMED_MODELS = {
+    "no-layers": (dict(n_layers=0), "n_layers 0"),
+    "first-width-not-encoding": (dict(widths=[4, 6, 6, 2]), "encoding width"),
+    "zero-bands": (dict(bands=0), "bands 0"),
+    "zero-n-norm": (dict(n_norm=0), "n_norm 0"),
+    "family-not-utf8": (dict(family=b"\xffsym"), "not UTF-8"),
+    "zero-width": (dict(widths=[5, 6, 0, 2]), "widths"),
+    "trailing-bytes": (dict(suffix=b"\0"), "trailing bytes"),
+    "nan-bias": (dict(last_bias=np.nan), "non-finite parameters"),
+}
+
+
+class TestMalformedModel:
+    @pytest.mark.parametrize("change, match", MALFORMED_MODELS.values(), ids=MALFORMED_MODELS)
+    def test_names_the_file(self, tmp_path, change, match):
+        path = tmp_path / "bad.nn"
+        path.write_bytes(saved_bytes(tmp_path, **change))
+        with pytest.raises(ValueError, match=f"bad.nn: .*{match}"):
+            nn.load_model(path)
+
+    @given(draw=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_damaged_file_fails_or_round_trips(self, tmp_path_factory, draw):
+        """Truncated or flipped bytes either raise a ValueError naming the
+        file or load into a model that saves back to the same bytes."""
+        folder = tmp_path_factory.mktemp("damaged")
+        data = bytearray(saved_bytes(folder))
+        flips = draw.draw(st.lists(st.tuples(st.integers(0, len(data) - 1), st.integers(1, 255)), max_size=4))
+        for pos, mask in flips:
+            data[pos] ^= mask
+        data = bytes(data[:draw.draw(st.integers(0, len(data)))])
+        path = folder / "d.nn"
+        path.write_bytes(data)
+        try:
+            model = nn.load_model(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: ")
+            return
+        nn.save_model(model, path)
+        assert path.read_bytes() == data

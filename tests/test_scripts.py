@@ -40,14 +40,6 @@ def test_discrepancy_profiles(monkeypatch, tmp_path):
         assert (curve[:, 1:] > 0).all()
 
 
-def test_rrt_sweep(monkeypatch, tmp_path):
-    run_script("run_rrt_sweep.py", ["--widths", "0.6", "--reps", 1, "--sources", "sobol,uniform",
-                                    "--k", 200], monkeypatch, tmp_path)
-    lines = (tmp_path / "rrt_success.csv").read_text().splitlines()
-    assert lines[0] == "source,width,success_pct"
-    assert [line.split(",")[0] for line in lines[1:]] == ["sobol", "uniform"]
-
-
 @pytest.mark.filterwarnings("ignore::lowdisc.neuralnet.ExtrapolationWarning")
 def test_train_and_profile(monkeypatch, tmp_path):
     run_script("train_and_profile.py", ["--dim", 2, "--n", 16, "--hidden", 8, "--layers", 2,

@@ -629,3 +629,60 @@ class TestPointFileErrors:
         path.write_text(content)
         with pytest.raises(ValueError, match=f"broken.csv: .*{match}"):
             sq.load_points(path)
+
+
+def assert_points_or_named_error(load, path):
+    """A loader either returns finite unit-cube points or raises a
+    ValueError that names the file."""
+    try:
+        pts = load(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        return
+    assert pts.ndim == 2 and pts.size and pts.dtype == np.float64
+    assert ((pts >= 0.0) & (pts <= 1.0)).all()
+
+
+class TestPointFileBoundary:
+    @pytest.mark.parametrize(
+        "content", ["0.1,nan\n", "0.1,7\n", "0.5,0.5\n-inf,0.2\n", "# only a comment\n"],
+        ids=["nan", "outside", "minus-inf", "no-points"])
+    def test_bad_csv_points_name_the_file(self, tmp_path, content):
+        path = tmp_path / "bad.csv"
+        path.write_text(content)
+        with pytest.raises(ValueError, match="bad.csv: "):
+            sq.load_points(path)
+
+    @pytest.mark.parametrize("points", [[[0.2, -0.5]], [[np.nan]], np.zeros((0, 3))],
+                             ids=["outside", "nan", "no-points"])
+    def test_bad_bin_points_name_the_file(self, tmp_path, points):
+        path = tmp_path / "bad.bin"
+        sq.save_points_bin(np.asarray(points, dtype=float), path)
+        with pytest.raises(ValueError, match="bad.bin: "):
+            sq.load_points(path)
+
+    @given(text=st.text(alphabet="0123456789.,-+e naif#\n\t\x00x", max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_csv_text(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("csv") / "p.csv"
+        path.write_text(text)
+        assert_points_or_named_error(sq.load_points_csv, path)
+
+    @given(data=st.binary(max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_csv_bytes(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("csv") / "p.csv"
+        path.write_bytes(data)
+        assert_points_or_named_error(sq.load_points_csv, path)
+
+    @given(draw=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_bin_damaged(self, tmp_path_factory, draw):
+        path = tmp_path_factory.mktemp("bin") / "p.bin"
+        sq.save_points_bin(sq.generate(sq.SequenceSpec("halton", 3), 4), path)
+        data = bytearray(path.read_bytes())
+        for pos, mask in draw.draw(st.lists(st.tuples(st.integers(0, len(data) - 1), st.integers(1, 255)),
+                                            max_size=4)):
+            data[pos] ^= mask
+        path.write_bytes(bytes(data[:draw.draw(st.integers(0, len(data)))]))
+        assert_points_or_named_error(sq.load_points_bin, path)

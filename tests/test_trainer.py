@@ -1,7 +1,12 @@
 import copy
 
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lowdisc import discrepancy as disc
 from lowdisc import neuralnet as nn
@@ -309,6 +314,76 @@ class TestConfigValueErrors:
             tr.parse_config(text)
 
 
+class TestConfigBoundary:
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("pretrain_lr: nan\n", "learning rates must be positive and finite"),
+            ("finetune_lr: inf\n", "learning rates must be positive and finite"),
+            ("gamma: -1,1\n", "gamma must hold 2 positive finite weights"),
+            ("gamma: 1\n", "gamma must hold 2 positive finite weights"),
+            ("gamma: 1,nan\n", "gamma must hold 2 positive finite weights"),
+            ("hidden: 0\n", "hidden, layers, bands and n_norm >= 1"),
+            ("bands: 0\n", "hidden, layers, bands and n_norm >= 1"),
+            ("burn_in: -1\n", "burn_in >= 0"),
+        ],
+        ids=["nan-lr", "inf-lr", "negative-gamma", "short-gamma", "nan-gamma", "zero-hidden",
+             "zero-bands", "negative-burn-in"],
+    )
+    def test_rejected_before_training(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            tr.parse_config("dim: 2\nn_points: 8\n" + text)
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [("dim: 2\nn_points 8\n", "line 2: expected 'key: value'"),
+         ("dim: 2\nn_points: 8\npretrain_lr: nan\n", "learning rates"),
+         ("dim: 2\n", "config is missing required key")],
+        ids=["line", "value", "missing"],
+    )
+    def test_load_config_names_the_file(self, tmp_path, text, match):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"bad.cfg: {match}"):
+            tr.load_config(path)
+
+    def test_undecodable_config_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"dim: 2\nn_points: \xff\n")
+        with pytest.raises(ValueError, match="bad.cfg: .*decode"):
+            tr.load_config(path)
+
+    VALUES = st.one_of(
+        st.integers(-3, 300).map(str),
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.lists(st.floats(-2, 4), min_size=1, max_size=4).map(lambda g: ",".join(map(repr, g))),
+        st.sampled_from(["sym", "star", "ctr", "uniform", "length-proportional", "halton", "", "x"]),
+        st.text(max_size=6),
+    )
+    KEYS = st.sampled_from([f.name for f in fields(tr.TrainConfig)] + ["momentum"])
+
+    @given(lines=st.lists(st.tuples(KEYS, VALUES), max_size=8), noise=st.text(max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_every_bad_config_raises_value_error(self, lines, noise):
+        """parse_config returns a config a run can start from, or raises ValueError."""
+        text = "dim: 2\nn_points: 8\n" + "".join(f"{k}: {v}\n" for k, v in lines) + noise
+        try:
+            cfg = tr.parse_config(text)
+        except ValueError:
+            return
+        assert cfg.dim >= 1 and cfg.n_points >= 2 and cfg.burn_in >= 0
+        assert min(cfg.hidden, cfg.layers, cfg.bands, cfg.n_norm) >= 1
+        assert min(cfg.pretrain_epochs, cfg.finetune_epochs) >= 0
+        for lr in (cfg.pretrain_lr, cfg.finetune_lr):
+            assert math.isfinite(lr) and lr > 0
+        assert 0 < cfg.final_lr_ratio <= 1
+        if cfg.gamma is not None:
+            assert len(cfg.gamma) == cfg.dim
+            assert all(math.isfinite(g) and g > 0 for g in cfg.gamma)
+        cfg.kernel_spec()
+        disc.PrefixWeights(cfg.weight_scheme)
+
+
 # ---------------------------------------------------------------------------
 # The two-forward training loops the stages had before each became one
 # forward -> loss -> step loop: every epoch ran one forward for the gradient
@@ -459,13 +534,24 @@ class TestOneForwardPerEpoch:
         assert_same_run(got[:2], want[:2])
         assert_same_run((got[0], got[2]), (want[0], want[2]))
 
-    def test_diverging_lr_raises_the_same_collapse(self):
+    def test_diverging_lr_collapse_keeps_best_checkpoint(self, monkeypatch):
         cfg = small_cfg(dim=2, finetune_lr=5.0)
-        with pytest.raises(tr.CollapseError) as ref_exc:
-            run_both_stages((reference_pretrain, reference_finetune), cfg)
-        with pytest.raises(tr.CollapseError) as exc:
-            run_both_stages((tr.pretrain, tr.finetune), cfg)
-        assert str(exc.value) == str(ref_exc.value)
+        model, _ = reference_pretrain(cfg)
+        # the reference raises at the collapse; its last parameter copy is its best checkpoint
+        copies = []
+        with monkeypatch.context() as m:
+            m.setattr(nn.MlpModel, "copy_params",
+                      lambda self: copies.append([p.copy() for p in self.params()]) or copies[-1])
+            with pytest.raises(tr.CollapseError) as ref_exc:
+                reference_finetune(model, cfg)
+        tuned, _, log = run_both_stages((tr.pretrain, tr.finetune), cfg)
+        assert log.notes == [f"finetune collapsed at epoch 2: {ref_exc.value}; restored best checkpoint"]
+        losses = log.stage_losses("finetune")
+        assert len(losses) == 2 and losses[1] < losses[0]
+        assert losses[1] == pytest.approx(0.0321, abs=5e-5)
+        assert tuned.meta["finetune_loss"] == losses[1]
+        for a, b in zip(tuned.params(), copies[-1], strict=True):
+            np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("poisoned_at", [1, 3])
     def test_poisoned_step_matches_reference(self, monkeypatch, poisoned_at):
