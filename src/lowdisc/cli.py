@@ -141,6 +141,10 @@ def _cmd_sensitivity(args) -> None:
         print("gamma: " + ",".join(f"{g:.4f}" for g in gamma))
 
 
+def _plan_progress(label, width, successes, reps, seconds) -> None:
+    print(f"plan: {label} width {width:g}: {successes}/{reps} succeeded in {seconds:.2f} s", file=sys.stderr)
+
+
 def _cmd_plan(args) -> None:
     widths = [float(w) for w in args.widths.split(",")]
     sources = [_build_spec(args, kind.strip(), "plan-source") for kind in args.sources.split(",")]
@@ -154,6 +158,7 @@ def _cmd_plan(args) -> None:
         cfg,
         seed=seqcore.split_seed(args.seed, "plan-envs"),
         sequence_length=args.k,
+        progress=_plan_progress,
     )
     with open(args.out, "w") as fh:
         fh.write("source,width,success_pct\n")

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import struct
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from hashlib import blake2b
@@ -64,7 +63,6 @@ def split_seed(seed: int, *labels) -> int:
 # ---------------------------------------------------------------------------
 # primes
 
-_prime_lock = threading.Lock()
 _prime_cache: list[int] = [2, 3, 5, 7, 11, 13]
 
 
@@ -73,18 +71,15 @@ def primes(n: int) -> list[int]:
     global _prime_cache
     if n <= len(_prime_cache):
         return _prime_cache[:n]
-    with _prime_lock:
-        if n <= len(_prime_cache):
-            return _prime_cache[:n]
-        m = max(n, 6)
-        # p_n < n(ln n + ln ln n) for n >= 6
-        bound = int(m * (math.log(m) + math.log(math.log(m)))) + 10
-        sieve = np.ones(bound + 1, dtype=bool)
-        sieve[:2] = False
-        for p in range(2, int(bound**0.5) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = False
-        _prime_cache = np.flatnonzero(sieve).tolist()
+    m = max(n, 6)
+    # p_n < n(ln n + ln ln n) for n >= 6
+    bound = int(m * (math.log(m) + math.log(math.log(m)))) + 10
+    sieve = np.ones(bound + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, int(bound**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    _prime_cache = np.flatnonzero(sieve).tolist()
     return _prime_cache[:n]
 
 

@@ -138,13 +138,22 @@ def cosine_lr(base: float, final_ratio: float, epoch: int, total: int) -> float:
     return final + 0.5 * (base - final) * (1.0 + np.cos(np.pi * frac))
 
 
-def _check_collapse(points: np.ndarray) -> None:
+def _check_collapse(points: np.ndarray, pretrained: bool = True) -> None:
+    """Raise ``CollapseError`` when the points fill almost no volume; the
+    message names the likely cause, which depends on whether the model was
+    pretrained."""
     volume = float(np.prod(points.max(axis=0) - points.min(axis=0)))
     if volume < COLLAPSE_VOLUME:
+        cause = (
+            "the model was pretrained, so the fine-tune learning rate "
+            "(finetune_lr) is likely too large for its steps"
+            if pretrained
+            else "direct discrepancy training without pretraining is known "
+            "to degenerate this way"
+        )
         raise CollapseError(
             f"points collapsed into an axis-aligned box of volume {volume:.3e} "
-            f"(< {COLLAPSE_VOLUME:.0e}); direct discrepancy training without "
-            "pretraining is known to degenerate this way"
+            f"(< {COLLAPSE_VOLUME:.0e}); {cause}"
         )
 
 
@@ -238,7 +247,7 @@ def finetune(model: neuralnet.MlpModel, cfg: TrainConfig):
             log.notes.append("finetune diverged at epoch 0: the starting model gives a non-finite loss; returned it unchanged")
         else:
             try:
-                _check_collapse(points)
+                _check_collapse(points, pretrained=cfg.pretrain_epochs > 0)
             except CollapseError as exc:
                 if not epoch:
                     raise

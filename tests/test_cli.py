@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -258,3 +260,35 @@ class TestMcReferenceCount:
                     "--mc-reference-n", "0", "--out", str(tmp_path / "err.csv")])
         assert code == 1
         assert "error: n_samples must be >= 1, got 0" in capsys.readouterr().err
+
+
+class TestPlanProgress:
+    def test_one_stderr_line_per_cell(self, tmp_path, capsys):
+        out = tmp_path / "plan.csv"
+        argv = ["plan", "--widths", "0.52,0.64", "--reps", "2", "--sources", "sobol,uniform",
+                "--k", "200", "--seed", "3", "--out", str(out)]
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 4
+        rows = out.read_text().splitlines()[1:]
+        for line, row in zip(lines, rows, strict=True):
+            match = re.fullmatch(r"plan: (\w+) width ([\d.]+): (\d+)/2 succeeded in \d+\.\d\d s", line)
+            assert match, line
+            label, width, pct = row.split(",")
+            assert match.group(1, 2) == (label, width)
+            assert 100.0 * int(match.group(3)) / 2 == float(pct)
+
+    def test_success_rate_reports_each_cell(self):
+        seen = []
+        rows = rrtplan.success_rate(
+            [0.52, 0.64], 3, [SequenceSpec("halton", 4)], rrtplan.RrtConfig(max_iters=150),
+            sequence_length=150, progress=lambda *cell: seen.append(cell))
+        assert rows == rrtplan.success_rate(
+            [0.52, 0.64], 3, [SequenceSpec("halton", 4)], rrtplan.RrtConfig(max_iters=150),
+            sequence_length=150)
+        assert [cell[:2] for cell in seen] == [("halton", 0.52), ("halton", 0.64)]
+        for (label, width, successes, reps, seconds), row in zip(seen, rows, strict=True):
+            assert reps == 3 and seconds >= 0.0
+            assert 100.0 * successes / reps == row[2]

@@ -212,6 +212,31 @@ class TestFinetune:
         assert [r.epoch for r in log.records] == [0]
         assert all(np.isnan(p).all() for p in tuned.params())
 
+    def test_collapse_note_names_the_cause(self):
+        points = np.full((16, 2), 0.25)
+        with pytest.raises(tr.CollapseError) as pretrained:
+            tr._check_collapse(points, pretrained=True)
+        assert str(pretrained.value).endswith(
+            "the model was pretrained, so the fine-tune learning rate (finetune_lr) "
+            "is likely too large for its steps")
+        with pytest.raises(tr.CollapseError) as direct:
+            tr._check_collapse(points, pretrained=False)
+        assert str(direct.value).endswith(
+            "direct discrepancy training without pretraining is known to degenerate this way")
+
+    def test_collapse_after_pretraining_blames_the_learning_rate(self):
+        _, _, log = run_both_stages((tr.pretrain, tr.finetune), small_cfg(dim=2, finetune_lr=5.0))
+        assert len(log.notes) == 1
+        assert log.notes[0].startswith("finetune collapsed at epoch 2: points collapsed")
+        assert "fine-tune learning rate (finetune_lr) is likely too large" in log.notes[0]
+
+    def test_collapse_without_pretraining_keeps_the_direct_training_text(self, monkeypatch):
+        cfg = small_cfg(dim=2, pretrain_epochs=0, finetune_lr=5.0)
+        model, _ = tr.pretrain(small_cfg(dim=2))  # a model that survives epoch 0
+        _, log = tr.finetune(model, cfg)
+        assert len(log.notes) == 1 and log.notes[0].startswith("finetune collapsed at epoch")
+        assert "direct discrepancy training without pretraining" in log.notes[0]
+
     def test_dimension_mismatch(self):
         model, _ = tr.pretrain(small_cfg(dim=2))
         with pytest.raises(ValueError, match="dimension"):
