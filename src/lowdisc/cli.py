@@ -83,6 +83,10 @@ def _cmd_train(args) -> None:
     model, log = trainer.train_full(cfg)
     for note in log.notes:
         print(f"note: {note}", file=sys.stderr)
+    for stage in ("pretrain", "finetune"):
+        rows = [r for r in log.records if r.stage == stage]
+        print(f"train: {stage}: {rows[-1].epoch} epochs, last loss {rows[-1].loss:.6e}, "
+              f"best loss {min(r.loss for r in rows):.6e}, {rows[-1].seconds:.2f} s", file=sys.stderr)
     neuralnet.save_model(model, args.out_model)
     if args.log:
         log.write_csv(args.log)

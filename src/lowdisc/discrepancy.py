@@ -28,6 +28,8 @@ from typing import Callable
 
 import numpy as np
 
+from . import seqcore
+
 RADICAND_CLAMP = -1e-12
 
 
@@ -155,20 +157,6 @@ class KernelSpec:
             )
 
 
-def _as_points(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise ValueError("points must be a nonempty (n, d) array")
-    if not np.isfinite(pts).all():
-        raise ValueError("points contain non-finite coordinates")
-    if pts.min() < 0.0 or pts.max() > 1.0:
-        raise ValueError(
-            f"points must lie in the unit cube [0, 1]^d; coordinates span "
-            f"[{pts.min():.17g}, {pts.max():.17g}]"
-        )
-    return pts
-
-
 def kernel_constant(spec: KernelSpec, d: int) -> float:
     """The double integral of the d-dimensional (possibly weighted) kernel."""
     spec._check_dim(d)
@@ -212,8 +200,8 @@ def _kernel_cross(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def kernel_eval(spec: KernelSpec, x, y) -> float:
     """The d-dimensional product kernel at a single pair of points."""
-    x = _as_points(np.reshape(x, (1, -1)))
-    y = _as_points(np.reshape(y, (1, -1)))
+    x = seqcore.unit_cube_points(np.reshape(x, (1, -1)))
+    y = seqcore.unit_cube_points(np.reshape(y, (1, -1)))
     if x.shape != y.shape:
         raise ValueError(f"dimension mismatch: {x.shape[1:]} vs {y.shape[1:]}")
     spec._check_dim(x.shape[1])
@@ -285,7 +273,7 @@ def _sqrt_clamped(d2):
 def _terms(spec: KernelSpec, points):
     """Validated points and the terms of D^2: the constant c0, the
     per-point b- and kdiag-products, and the pair row sums."""
-    pts = _as_points(points)
+    pts = seqcore.unit_cube_points(points)
     c0 = kernel_constant(spec, pts.shape[1])  # checks the weights' length
     b = _factors(spec, "b", pts).prod(axis=1)
     r = _pair_rowsums(spec, pts)
@@ -414,7 +402,7 @@ def prefix_loss_grad(
     spec: KernelSpec, weights: PrefixWeights, points
 ) -> np.ndarray:
     """Gradient of :func:`prefix_loss` with respect to every coordinate."""
-    pts = _as_points(points)
+    pts = seqcore.unit_cube_points(points)
     n, d = pts.shape
     spec._check_dim(d)
     _, alpha, beta = _loss_coefficients(weights, n)

@@ -615,19 +615,18 @@ def save_points_csv(points: np.ndarray, path) -> None:
     np.savetxt(path, np.atleast_2d(points), fmt="%.17g", delimiter=",")
 
 
-def _unit_cube_points(points: np.ndarray, path) -> np.ndarray:
-    """The loaded points, or a ValueError naming the file and the first
-    point that is not a finite point of the unit cube."""
-    if points.size == 0:
-        raise ValueError(f"{path}: point file holds no points")
-    bad = ~((points >= 0.0) & (points <= 1.0)).all(axis=1)  # nan fails both
-    if bad.any():
-        row = int(np.argmax(bad))
-        raise ValueError(
-            f"{path}: point {row + 1} {points[row].tolist()} is not a finite "
-            "point of the unit cube [0, 1]^d"
-        )
-    return points
+def unit_cube_points(points) -> np.ndarray:
+    """``points`` as a float64 (n, d) array, or a ValueError naming the first
+    point that is not a finite point of the unit cube [0, 1]^d."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.size == 0:
+        raise ValueError("points must be a nonempty (n, d) array")
+    if not (pts.min() >= 0.0 and pts.max() <= 1.0):  # nan fails both
+        row = int(np.argmax(~((pts >= 0.0) & (pts <= 1.0)).all(axis=1)))
+        problem = ("lies outside the unit cube [0, 1]^d" if np.isfinite(pts[row]).all()
+                   else "has non-finite coordinates")
+        raise ValueError(f"point {row + 1} {pts[row].tolist()} {problem}")
+    return pts
 
 
 def load_points_csv(path) -> np.ndarray:
@@ -635,10 +634,9 @@ def load_points_csv(path) -> np.ndarray:
         if not any(line.split(b"#", 1)[0].strip() for line in fh):  # '#' starts a comment
             raise ValueError(f"{path}: point file is empty")
     try:
-        points = np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError as exc:  # a ragged row or a cell that is not a number
+        return unit_cube_points(np.loadtxt(path, delimiter=",", ndmin=2))
+    except ValueError as exc:  # a ragged row, a cell that is not a number, or a bad point
         raise ValueError(f"{path}: {exc}") from None
-    return _unit_cube_points(points, path)
 
 
 def save_points_bin(points: np.ndarray, path) -> None:
@@ -666,7 +664,10 @@ def load_points_bin(path) -> np.ndarray:
     body = np.frombuffer(data, dtype="<f8", offset=_POINT_HEADER.size)
     if body.size != n * d:
         raise ValueError(f"{path}: truncated point file")
-    return _unit_cube_points(body.reshape(n, d).copy(), path)
+    try:
+        return unit_cube_points(body.reshape(n, d).copy())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_points(path) -> np.ndarray:

@@ -5,12 +5,12 @@ mean-squared-error loss; stage two fine-tunes on the prefix-weighted
 squared-discrepancy loss with cosine learning-rate decay and best-loss
 checkpointing.  Runs are bit-reproducible for a fixed seed.
 
-Each stage is one forward -> loss -> step loop: the one forward of the
-parameters after step e gives epoch e's logged loss and step e + 1's
-gradient, so E epochs take E + 1 forwards.  A non-finite loss or gradient
-stops either stage with a note and returns its checkpoint; so does a
-collapse after the first fine-tuning epoch.  A model that has collapsed
-before fine-tuning starts raises ``CollapseError``.
+Both stages run one forward -> loss -> step loop with one failure policy.
+The one forward of the parameters after step e gives epoch e's logged loss
+and step e + 1's gradient, so E epochs take E + 1 forwards.  A non-finite
+loss or gradient, or a collapse after epoch 0, stops either stage with a
+note and returns its checkpoint; a collapse at epoch 0 raises
+``CollapseError``.
 """
 
 from __future__ import annotations
@@ -126,6 +126,8 @@ class TrainLog:
             fh.write("stage,epoch,loss,lr,seconds\n")
             for r in self.records:
                 fh.write(f"{r.stage},{r.epoch},{r.loss:.17g},{r.lr:.17g},{r.seconds:.6f}\n")
+            for note in self.notes:  # after the rows, as comment lines CSV readers skip
+                fh.write(f"# note: {note}\n")
 
 
 def cosine_lr(base: float, final_ratio: float, epoch: int, total: int) -> float:
@@ -157,6 +159,50 @@ def _check_collapse(points: np.ndarray, pretrained: bool = True) -> None:
         )
 
 
+def _run_stage(stage, model, cfg, epochs, loss_of, upstream_of, lr_at, keep_best):
+    """The loop both stages share: ``loss_of(out)`` may raise ``CollapseError``,
+    ``upstream_of(out)`` is the loss gradient, and the checkpoint holds the
+    best-loss parameters if ``keep_best``, else the last finite-loss ones.
+    Returns the log and the checkpoint's loss."""
+    if model.out_dim != cfg.dim:
+        raise ValueError(f"model emits dimension {model.out_dim}, config asks for {cfg.dim}")
+    restored = "restored best checkpoint" if keep_best else "restored last good checkpoint"
+    enc = neuralnet.encode_indices(model.encoding, np.arange(1, cfg.n_points + 1))
+    params = model.params()
+    adam = neuralnet.AdamState.for_params(params)
+    log = TrainLog()
+    t0 = time.perf_counter()
+    lr = lr_at(0)
+    for epoch in range(epochs + 1):
+        out, acts = neuralnet._forward_encoded(model, enc)
+        try:
+            loss = loss_of(out)
+        except CollapseError as exc:
+            if not epoch:
+                raise
+            log.notes.append(f"{stage} collapsed at epoch {epoch}: {exc}; {restored}")
+            break
+        if not np.isfinite(loss):
+            if epoch:
+                log.notes.append(f"{stage} diverged at epoch {epoch}; {restored}")
+                break
+            log.notes.append(f"{stage} diverged at epoch 0: the starting model gives a non-finite loss; returned it unchanged")
+        if not keep_best or epoch == 0 or loss < best_loss:
+            best_loss, best_params = loss, model.copy_params()
+        log.append(stage, epoch, loss, lr, time.perf_counter() - t0)
+        if epoch == epochs or not np.isfinite(loss):
+            break
+        grads = neuralnet._backward_encoded(model, acts, upstream_of(out))
+        lr = lr_at(epoch)  # step e + 1 takes lr_at(e), and epoch e + 1's loss is logged with it
+        try:
+            neuralnet.adam_step(adam, params, grads, lr)
+        except ValueError as exc:  # a non-finite gradient; adam_step changed nothing
+            log.notes.append(f"{stage} diverged at epoch {epoch + 1}: {exc}; {restored}")
+            break
+    model.load_params(best_params)
+    return log, best_loss
+
+
 def pretrain(cfg: TrainConfig, model: neuralnet.MlpModel | None = None):
     """Regress the network onto the reference sequence with MSE.
 
@@ -164,10 +210,9 @@ def pretrain(cfg: TrainConfig, model: neuralnet.MlpModel | None = None):
     index i - 1 + burn_in.  Returns the final model and a per-epoch log;
     on divergence the last finite-loss parameters are restored.
     """
-    encoding = neuralnet.EncodingConfig(bands=cfg.bands, n_norm=cfg.n_norm)
     if model is None:
         model = neuralnet.init_mlp(
-            encoding,
+            neuralnet.EncodingConfig(bands=cfg.bands, n_norm=cfg.n_norm),
             out_dim=cfg.dim,
             hidden=cfg.hidden,
             layers=cfg.layers,
@@ -177,31 +222,13 @@ def pretrain(cfg: TrainConfig, model: neuralnet.MlpModel | None = None):
         seqcore.SequenceSpec(cfg.reference_kind, cfg.dim, burn_in=cfg.burn_in),
         cfg.n_points,
     )
-    enc = neuralnet.encode_indices(model.encoding, np.arange(1, cfg.n_points + 1))
-    params = model.params()
-    adam = neuralnet.AdamState.for_params(params)
-    log = TrainLog()
-    t0 = time.perf_counter()
-    for epoch in range(cfg.pretrain_epochs + 1):
-        out, acts = neuralnet._forward_encoded(model, enc)
-        loss = float(((out - targets) ** 2).sum() / cfg.n_points)
-        if not np.isfinite(loss):
-            if epoch:
-                log.notes.append(f"pretrain diverged at epoch {epoch}; restored last good checkpoint")
-                break
-            log.notes.append("pretrain diverged at epoch 0: the starting model gives a non-finite loss; returned it unchanged")
-        good = model.copy_params()
-        log.append("pretrain", epoch, loss, cfg.pretrain_lr, time.perf_counter() - t0)
-        if epoch == cfg.pretrain_epochs or not np.isfinite(loss):
-            break
-        upstream = 2.0 * (out - targets) / cfg.n_points
-        grads = neuralnet._backward_encoded(model, acts, upstream)
-        try:
-            neuralnet.adam_step(adam, params, grads, cfg.pretrain_lr)
-        except ValueError as exc:  # a non-finite gradient; adam_step changed nothing
-            log.notes.append(f"pretrain diverged at epoch {epoch + 1}: {exc}; restored last good checkpoint")
-            break
-    model.load_params(good)
+    log, mse = _run_stage(
+        "pretrain", model, cfg, cfg.pretrain_epochs,
+        loss_of=lambda out: float(((out - targets) ** 2).sum() / cfg.n_points),
+        upstream_of=lambda out: 2.0 * (out - targets) / cfg.n_points,
+        lr_at=lambda epoch: cfg.pretrain_lr,
+        keep_best=False,
+    )
     model.meta.update(
         {
             "dim": cfg.dim,
@@ -211,7 +238,7 @@ def pretrain(cfg: TrainConfig, model: neuralnet.MlpModel | None = None):
             "seed": cfg.seed,
             "reference_kind": cfg.reference_kind,
             "pretrain_epochs": cfg.pretrain_epochs,
-            "pretrain_mse": log.stage_losses("pretrain")[-1],
+            "pretrain_mse": mse,
         }
     )
     return model, log
@@ -224,50 +251,23 @@ def finetune(model: neuralnet.MlpModel, cfg: TrainConfig):
     Raises ``CollapseError`` when the starting model's points have already
     collapsed; a later collapse stops training with a note instead.
     """
-    if model.out_dim != cfg.dim:
-        raise ValueError(
-            f"model emits dimension {model.out_dim}, config asks for {cfg.dim}"
-        )
     kspec = cfg.kernel_spec()
     weights = discrepancy.PrefixWeights(cfg.weight_scheme)
-    enc = neuralnet.encode_indices(model.encoding, np.arange(1, cfg.n_points + 1))
-    params = model.params()
-    adam = neuralnet.AdamState.for_params(params)
-    log = TrainLog()
-    t0 = time.perf_counter()
-    lr = cosine_lr(cfg.finetune_lr, cfg.final_lr_ratio, 0, cfg.finetune_epochs)
-    for epoch in range(cfg.finetune_epochs + 1):
-        points, acts = neuralnet._forward_encoded(model, enc)
-        # prefix_loss rejects non-finite points; report divergence as a nan loss
-        loss = discrepancy.prefix_loss(kspec, weights, points) if np.isfinite(points).all() else np.nan
-        if not np.isfinite(loss):
-            if epoch:
-                log.notes.append(f"finetune diverged at epoch {epoch}; restored best checkpoint")
-                break
-            log.notes.append("finetune diverged at epoch 0: the starting model gives a non-finite loss; returned it unchanged")
-        else:
-            try:
-                _check_collapse(points, pretrained=cfg.pretrain_epochs > 0)
-            except CollapseError as exc:
-                if not epoch:
-                    raise
-                log.notes.append(f"finetune collapsed at epoch {epoch}: {exc}; restored best checkpoint")
-                break
-        if epoch == 0 or loss < best_loss:
-            best_loss, best_params = loss, model.copy_params()
-        log.append("finetune", epoch, loss, lr, time.perf_counter() - t0 if epoch else 0.0)
-        if epoch == cfg.finetune_epochs or not np.isfinite(loss):
-            break
-        upstream = discrepancy.prefix_loss_grad(kspec, weights, points)
-        grads = neuralnet._backward_encoded(model, acts, upstream)
-        # step e + 1 takes cosine_lr(e), and epoch e + 1's loss is logged with it
-        lr = cosine_lr(cfg.finetune_lr, cfg.final_lr_ratio, epoch, cfg.finetune_epochs)
-        try:
-            neuralnet.adam_step(adam, params, grads, lr)
-        except ValueError as exc:  # a non-finite gradient; adam_step changed nothing
-            log.notes.append(f"finetune diverged at epoch {epoch + 1}: {exc}; restored best checkpoint")
-            break
-    model.load_params(best_params)
+
+    def loss_of(points):
+        if not np.isfinite(points).all():  # prefix_loss rejects non-finite points
+            return np.nan
+        loss = discrepancy.prefix_loss(kspec, weights, points)
+        if np.isfinite(loss):
+            _check_collapse(points, pretrained=cfg.pretrain_epochs > 0)
+        return loss
+
+    log, best_loss = _run_stage(
+        "finetune", model, cfg, cfg.finetune_epochs, loss_of,
+        upstream_of=lambda points: discrepancy.prefix_loss_grad(kspec, weights, points),
+        lr_at=lambda epoch: cosine_lr(cfg.finetune_lr, cfg.final_lr_ratio, epoch, cfg.finetune_epochs),
+        keep_best=True,
+    )
     model.meta.update(
         {
             "finetune_epochs": cfg.finetune_epochs,

@@ -126,7 +126,7 @@ class TestScramble:
 
 
 class TestTrain:
-    def test_train_writes_model_and_log(self, tmp_path):
+    def test_train_writes_model_and_log(self, tmp_path, capsys):
         cfg = tmp_path / "train.cfg"
         cfg.write_text(
             "dim: 1\nn_points: 12\nloss_family: sym\nhidden: 8\nlayers: 2\n"
@@ -139,6 +139,12 @@ class TestTrain:
         assert model_path.exists()
         assert (tmp_path / "model.nn.meta").exists()
         assert log_path.read_text().splitlines()[0] == "stage,epoch,loss,lr,seconds"
+        summary = [line for line in capsys.readouterr().err.splitlines() if line.startswith("train: ")]
+        number = r"-?\d\.\d{6}e[+-]\d\d"
+        assert [line.split(":")[1].strip() for line in summary] == ["pretrain", "finetune"]
+        for line in summary:
+            assert re.fullmatch(rf"train: \w+: 10 epochs, last loss {number}, best loss {number}, \d+\.\d\d s",
+                                line), line
         # the model round-trips through generate --kind neural
         out = tmp_path / "pts.csv"
         assert run(["generate", "--kind", "neural", "--dim", "1", "--n", "12",

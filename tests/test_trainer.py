@@ -134,6 +134,15 @@ class TestPretrain:
         got = nn.forward(model, np.arange(1, 9))
         np.testing.assert_allclose(got, targets, atol=0.05)
 
+    @pytest.mark.parametrize("out_dim", [1, 3])
+    def test_dimension_mismatch_raises_before_any_epoch(self, monkeypatch, out_dim):
+        model, _ = tr.pretrain(small_cfg(dim=out_dim, pretrain_epochs=0))
+        forwards = []
+        monkeypatch.setattr(nn, "_forward_encoded", lambda *args: forwards.append(args))
+        with pytest.raises(ValueError, match=f"model emits dimension {out_dim}, config asks for 2"):
+            tr.pretrain(small_cfg(dim=2), model)
+        assert forwards == []
+
 
 class TestFinetune:
     def test_zero_lr_keeps_model_and_loss(self):
@@ -291,6 +300,26 @@ class TestTrainLog:
         first = lines[1].split(",")
         assert first[0] == "pretrain"
         float(first[2]), float(first[3]), float(first[4])
+
+    def test_epoch_zero_seconds_are_elapsed_in_both_stages(self):
+        _, log = tr.train_full(small_cfg(pretrain_epochs=1, finetune_epochs=1))
+        assert [(r.stage, r.seconds > 0.0) for r in log.records if r.epoch == 0] == [
+            ("pretrain", True), ("finetune", True)]
+
+    def test_notes_trail_the_rows(self, tmp_path):
+        _, log = tr.train_full(small_cfg(dim=2, finetune_lr=5.0))
+        assert log.notes  # the fine-tune collapses at epoch 2
+        noted, plain = tmp_path / "noted.csv", tmp_path / "plain.csv"
+        log.write_csv(noted)
+        tr.TrainLog(log.records).write_csv(plain)
+        lines = noted.read_text().splitlines()
+        assert lines[:-len(log.notes)] == plain.read_text().splitlines()
+        assert lines[-len(log.notes):] == [f"# note: {note}" for note in log.notes]
+
+        def read(path):  # as perfbench reads the log
+            return np.genfromtxt(path, delimiter=",", names=True, dtype=None, encoding="utf-8")
+
+        np.testing.assert_array_equal(read(noted), read(plain))
 
 
 class TestConfigFile:
