@@ -4,9 +4,11 @@ Subcommands cover generation, discrepancy curves, training, scrambling,
 integration studies, sensitivity analysis, and RRT planning sweeps; every
 output is CSV so external tools can plot it.  All randomized behavior keys
 off one ``--seed``; sub-seeds are derived with ``seqcore.split_seed``.
-Every command runs single-threaded and deterministically; ``--threads`` and
-``--deterministic`` are accepted on every subcommand for compatibility and
-change nothing.  Exit codes: 0 success, 1 runtime error, 2 usage error.
+Every command is deterministic.  Large discrepancy pair walks use every CPU
+the process may run on, with results identical at any CPU count;
+``--threads`` and ``--deterministic`` are accepted on every subcommand for
+compatibility and change nothing.  Exit codes: 0 success, 1 runtime error,
+2 usage error.
 """
 
 from __future__ import annotations
@@ -179,7 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def shared(p, seed_help="master seed for randomized behavior"):
         p.add_argument("--seed", type=int, default=None, help=seed_help)
-        compat = "accepted for compatibility; every command runs single-threaded and deterministically"
+        compat = ("accepted for compatibility and changes nothing; large discrepancy pair walks "
+                  "use every available CPU, with results identical at any count")
         p.add_argument("--threads", type=int, default=1, help=compat)
         p.add_argument("--deterministic", action="store_true", help=compat)
 

@@ -12,17 +12,22 @@ squared-discrepancy aggregate and its analytic gradient with respect to the
 coordinates are computed in the same budget via a linear-coefficient
 reformulation.
 
-All pair terms come from one tiled pass over the lower triangle of the
-N x N pair matrix (``_tiles``): blocks of 64 rows against column blocks of
-at most 2^13 pairs.  Work stays O(d N^2), while every temporary is one
-cache-sized tile of at most 64 KB, whatever N is.  Row sums accumulate tile
-by tile in an order fixed by N alone, so results are deterministic.  Points
-must be finite and lie in the unit cube [0, 1]^d; anything else raises
-``ValueError``.
+All pair terms come from one pass over the lower triangle of the N x N
+pair matrix, in blocks of 64 rows.  The row sums evaluate each block
+against spans of up to 512 columns into scratch that each worker allocates
+once per walk (768 KB), so memory stays flat in N; the gradient evaluates
+64 x 128 tiles.  Large walks split their row blocks over one worker thread
+per CPU the process may run on.  Every row sum is grouped in an order fixed
+by N alone and is summed by one worker, so results are deterministic and
+the same at any worker count.  Points must be finite and lie in the unit
+cube [0, 1]^d; anything else raises ``ValueError``.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,6 +47,56 @@ class NumericalError(ArithmeticError):
 #
 # Subgradient conventions: d|u| at u=0 is 0 (np.sign), and d max(x,y)
 # assigns 1/2 to each argument at ties.
+#
+# Each k(x, y, out=None, tmp=None) writes the broadcast of x and y into
+# ``out`` and uses ``tmp`` as a second buffer where the formula needs one;
+# a buffer left as None is allocated.  The pair walk passes preallocated
+# scratch, everyone else calls k(x, y).
+
+
+def _new(x, y, buf):
+    """``buf``, or a fresh array of the broadcast shape of x and y."""
+    return np.empty(np.broadcast_shapes(np.shape(x), np.shape(y))) if buf is None else buf
+
+
+def _k_star(x, y, out=None, tmp=None):  # 1 - max(x, y)
+    out = np.maximum(x, y, out=_new(x, y, out))
+    return np.subtract(1.0, out, out=out)
+
+
+def _k_ext(x, y, out=None, tmp=None):  # min(x, y) - x y
+    out = np.minimum(x, y, out=_new(x, y, out))
+    return np.subtract(out, np.multiply(x, y, out=_new(x, y, tmp)), out=out)
+
+
+def _k_per(x, y, out=None, tmp=None):  # 1/2 - |x - y| + (x - y)^2
+    tmp = np.subtract(x, y, out=_new(x, y, tmp))
+    out = np.abs(tmp, out=_new(x, y, out))
+    np.subtract(0.5, out, out=out)
+    return np.add(out, np.square(tmp, out=tmp), out=out)
+
+
+def _k_ctr(x, y, out=None, tmp=None):  # (|x - 1/2| + |y - 1/2| - |x - y|) / 2
+    out = np.add(np.abs(x - 0.5), np.abs(y - 0.5), out=_new(x, y, out))
+    tmp = np.subtract(x, y, out=_new(x, y, tmp))
+    np.subtract(out, np.abs(tmp, out=tmp), out=out)
+    return np.multiply(0.5, out, out=out)
+
+
+def _k_sym(x, y, out=None, tmp=None):  # (1 - 2 |x - y|) / 4
+    out = np.subtract(x, y, out=_new(x, y, out))
+    np.abs(out, out=out)
+    np.multiply(2.0, out, out=out)
+    np.subtract(1.0, out, out=out)
+    return np.multiply(0.25, out, out=out)
+
+
+def _k_asd(x, y, out=None, tmp=None):  # (1 - |x - y|) / 2
+    out = np.subtract(x, y, out=_new(x, y, out))
+    np.abs(out, out=out)
+    np.subtract(1.0, out, out=out)
+    return np.multiply(0.5, out, out=out)
+
 
 def _dk_star(x, y):
     return np.where(x > y, -1.0, np.where(x == y, -0.5, 0.0))
@@ -70,7 +125,7 @@ class KernelComponents:
 KERNELS: dict[str, KernelComponents] = {
     "star": KernelComponents(
         c=1.0 / 3.0,
-        k=lambda x, y: 1.0 - np.maximum(x, y),
+        k=_k_star,
         b=lambda x: 0.5 * (1.0 - x * x),
         dk=_dk_star,
         db=lambda x: -x,
@@ -79,7 +134,7 @@ KERNELS: dict[str, KernelComponents] = {
     ),
     "ext": KernelComponents(
         c=1.0 / 12.0,
-        k=lambda x, y: np.minimum(x, y) - x * y,
+        k=_k_ext,
         b=lambda x: 0.5 * x * (1.0 - x),
         dk=_dk_ext,
         db=lambda x: 0.5 - x,
@@ -88,7 +143,7 @@ KERNELS: dict[str, KernelComponents] = {
     ),
     "per": KernelComponents(
         c=1.0 / 3.0,
-        k=lambda x, y: 0.5 - np.abs(x - y) + (x - y) ** 2,
+        k=_k_per,
         b=lambda x: np.full_like(x, 1.0 / 3.0),
         dk=lambda x, y: -np.sign(x - y) + 2.0 * (x - y),
         db=lambda x: np.zeros_like(x),
@@ -97,7 +152,7 @@ KERNELS: dict[str, KernelComponents] = {
     ),
     "ctr": KernelComponents(
         c=1.0 / 12.0,
-        k=lambda x, y: 0.5 * (np.abs(x - 0.5) + np.abs(y - 0.5) - np.abs(x - y)),
+        k=_k_ctr,
         b=lambda x: 0.5 * (np.abs(x - 0.5) - (x - 0.5) ** 2),
         dk=lambda x, y: 0.5 * (np.sign(x - 0.5) - np.sign(x - y)),
         db=lambda x: 0.5 * (np.sign(x - 0.5) - 2.0 * (x - 0.5)),
@@ -106,7 +161,7 @@ KERNELS: dict[str, KernelComponents] = {
     ),
     "sym": KernelComponents(
         c=1.0 / 12.0,
-        k=lambda x, y: 0.25 * (1.0 - 2.0 * np.abs(x - y)),
+        k=_k_sym,
         b=lambda x: 0.5 * x * (1.0 - x),
         dk=lambda x, y: -0.5 * np.sign(x - y),
         db=lambda x: 0.5 - x,
@@ -115,7 +170,7 @@ KERNELS: dict[str, KernelComponents] = {
     ),
     "asd": KernelComponents(
         c=1.0 / 3.0,
-        k=lambda x, y: 0.5 * (1.0 - np.abs(x - y)),
+        k=_k_asd,
         b=lambda x: 0.25 + 0.5 * x * (1.0 - x),
         dk=lambda x, y: -0.5 * np.sign(x - y),
         db=lambda x: 0.5 - x,
@@ -175,27 +230,35 @@ def _factors(spec: KernelSpec, piece: str, pts: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _kernel_factor(spec: KernelSpec, j: int, x, y, out=None, tmp=None) -> np.ndarray:
+    """Factor j of the product kernel between coordinate columns x (h, 1)
+    and rows y (1, w): k(x, y), or 1 + gamma_j k(x, y) when weighted."""
+    kj = KERNELS[spec.family].k(x, y, out, tmp)
+    if spec.weights is not None:
+        kj *= spec.weights[j]  # 1 + gamma_j k, in place
+        kj += 1.0
+    return kj
+
+
 def _kernel_factors(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> list:
     """Per-dimension (len(a), len(b)) factors of the product kernel."""
-    fam = KERNELS[spec.family]
     bt = np.ascontiguousarray(b.T)  # unit-stride rows for the inner loops
-    out = []
-    for j in range(a.shape[1]):
-        kj = fam.k(a[:, j, None], bt[None, j])
-        if spec.weights is not None:
-            kj *= spec.weights[j]  # 1 + gamma_j k, in place
-            kj += 1.0
-        out.append(kj)
+    return [_kernel_factor(spec, j, a[:, j, None], bt[None, j]) for j in range(a.shape[1])]
+
+
+def _kernel_product(spec: KernelSpec, xs, ys, out=None, kj=None, tmp=None) -> np.ndarray:
+    """(h, w) product kernel between the points whose coordinates are the
+    rows of xs (d, h) and ys (d, w).  Factor 0 goes into ``out``, each later
+    factor into ``kj`` and is then multiplied into ``out``."""
+    out = _kernel_factor(spec, 0, xs[0, :, None], ys[0, None], out, tmp)
+    for j in range(1, len(xs)):
+        out *= _kernel_factor(spec, j, xs[j, :, None], ys[j, None], kj, tmp)
     return out
 
 
 def _kernel_cross(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b)) matrix of d-dimensional kernel values."""
-    factors = _kernel_factors(spec, a, b)
-    out = factors[0]
-    for kj in factors[1:]:
-        out *= kj
-    return out
+    return _kernel_product(spec, a.T, np.ascontiguousarray(b.T))
 
 
 def kernel_eval(spec: KernelSpec, x, y) -> float:
@@ -208,16 +271,25 @@ def kernel_eval(spec: KernelSpec, x, y) -> float:
     return float(_kernel_cross(spec, x, y)[0, 0])
 
 
-# Pair terms are evaluated tile by tile over the lower triangle of the
-# N x N pair matrix: row blocks of _TILE_ROWS points against column blocks
-# holding at most _TILE_PAIRS pairs.  The kernel lambdas make several
-# tile-sized temporaries per dimension.  At 2^13 float64 (64 KB) a tile stays
-# in cache and below glibc's default 128 KB mmap threshold, so malloc reuses
-# heap blocks.  At 2^14 pairs each temporary was mapped and faulted in
-# afresh: on a 2-vCPU Xeon, the sym row sums at N=10^4, d=4 took ~290k page
-# faults and 0.47 s of system time per pass, and none at 2^13.
+# Pair terms are evaluated over the lower triangle of the N x N pair matrix
+# in row blocks of _TILE_ROWS points.  _tiles splits each block's columns
+# into blocks of at most _TILE_PAIRS pairs; that split fixes how every row
+# sum is grouped, and the gradient walk evaluates one such tile at a time.
+# The gradient's tile temporaries stay at 64 KB, below glibc's 128 KB mmap
+# threshold, so malloc reuses heap blocks instead of faulting in fresh pages.
+# The row sums instead evaluate _SPAN_COLS columns (four tiles) per kernel
+# call into scratch that each worker allocates once per walk, three buffers
+# of _TILE_ROWS x _SPAN_COLS float64 (768 KB), and sum each span tile by
+# tile.  Wide in-place spans cut the per-call overhead and the allocations
+# of the kernel ufuncs.  At 1024 columns the walk was faster still, but the
+# peak memory of `lowdisc disc` at N = 10^4 rose by another 1 MB.
 _TILE_PAIRS = 1 << 13
 _TILE_ROWS = 64
+_SPAN_COLS = 4 * (_TILE_PAIRS // _TILE_ROWS)
+# Walks of fewer pairs run on the calling thread.  On a 2-vCPU Xeon, two
+# workers took 1.3-2x the time of one at N = 256-1448 (d = 2 and 4), broke
+# even near N = 2900 (2^22 pairs) and saved 10-20 % at N = 4096-10^4.
+_INLINE_PAIRS = 1 << 22
 
 
 def _tiles(n: int):
@@ -235,29 +307,97 @@ def _tiles(n: int):
         yield lo, hi, lo, hi
 
 
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _row_block(spec: KernelSpec, cols: np.ndarray, lo: int, hi: int, r: np.ndarray, scratch) -> None:
+    """Add to r[lo:hi] the kernel between rows lo:hi and every earlier point.
+
+    Spans of _SPAN_COLS columns are evaluated into ``scratch`` and summed
+    in the column blocks of _tiles, in their order; the square diagonal
+    tile comes last.  Each row's sum is thus grouped as in a walk over
+    _tiles.  ``cols`` holds the coordinates as rows, (d, N).
+    """
+    width = _TILE_PAIRS // _TILE_ROWS
+    xs, h = cols[:, lo:hi], hi - lo
+
+    def views(w):  # contiguous (h, w) views of the scratch buffers
+        return [buf[: h * w].reshape(h, w) for buf in scratch]
+
+    for s0 in range(0, lo, _SPAN_COLS):
+        s1 = min(s0 + _SPAN_COLS, lo)
+        span = _kernel_product(spec, xs, cols[:, s0:s1], *views(s1 - s0))
+        for c0 in range(0, s1 - s0, width):
+            r[lo:hi] += span[:, c0 : c0 + width].sum(axis=1)
+    r[lo:hi] += np.tril(_kernel_product(spec, xs, xs, *views(h)), -1).sum(axis=1)
+
+
 def _pair_rowsums(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:
-    """r[j] = sum_{i<j} k(X_j, X_i), accumulated over the lower-triangle tiles."""
-    r = np.zeros(len(pts))
-    for lo, hi, c0, c1 in _tiles(len(pts)):
-        block = _kernel_cross(spec, pts[lo:hi], pts[c0:c1])
-        if c0 == lo:
-            block = np.tril(block, -1)
-        r[lo:hi] += block.sum(axis=1)
+    """r[j] = sum_{i<j} k(X_j, X_i).
+
+    Large walks share their row blocks, those with the most columns first,
+    between the caller and a helper thread per further CPU the process may
+    run on.  One worker sums each block, in a fixed order, so r is the same
+    for any number of workers.  Helpers call no traced function, and share
+    nothing with the caller but ``r`` and the queue of blocks.
+    """
+    n = len(pts)
+    r = np.zeros(n)
+    cols = np.ascontiguousarray(pts.T)
+    blocks = deque(range(0, n, _TILE_ROWS)[::-1])
+    size = _TILE_ROWS * min(_SPAN_COLS, n)
+
+    def walk():
+        scratch = np.empty((3, size))
+        while True:
+            try:
+                lo = blocks.popleft()  # deque pops are thread-safe
+            except IndexError:
+                return
+            _row_block(spec, cols, lo, min(lo + _TILE_ROWS, n), r, scratch)
+
+    # Plain threads: importing concurrent.futures alone added 0.56 MB to the
+    # peak memory of `lowdisc disc`.
+    failures = []
+
+    def helper():
+        try:
+            walk()
+        except Exception as exc:  # noqa: BLE001 - re-raised by the caller
+            failures.append(exc)
+
+    workers = min(_cpu_count(), len(blocks)) if n * (n - 1) // 2 >= _INLINE_PAIRS else 1
+    helpers = [threading.Thread(target=helper) for _ in range(workers - 1)]
+    for t in helpers:
+        t.start()
+    try:
+        walk()
+    finally:
+        for t in helpers:
+            t.join()
+    if failures:
+        raise failures[0]
     return r
 
 
 def _kahan_cumsum(values: np.ndarray) -> np.ndarray:
-    """Compensated running sums; keeps O(N) prefix accumulations exact."""
-    out = np.empty_like(values)
+    """Compensated running sums; keeps O(N) prefix accumulations exact.
+    Python floats are IEEE doubles, and faster to loop over than numpy's."""
+    out = []
     total = 0.0
     comp = 0.0
-    for t, v in enumerate(values):
+    for v in values.tolist():
         y = v - comp
         tmp = total + y
         comp = (tmp - total) - y
         total = tmp
-        out[t] = total
-    return out
+        out.append(total)
+    return np.array(out, dtype=np.float64)
 
 
 def _sqrt_clamped(d2):

@@ -393,7 +393,8 @@ def test_criterion_11_rrt_properties():
     )
 
 
-def test_criterion_12_all_prefix_performance():
+def test_criterion_12_all_prefix_performance(monkeypatch):
+    monkeypatch.setattr(disc, "_cpu_count", lambda: 1)  # the criterion is single-threaded
     pts = sq.generate(SequenceSpec("halton", 4, burn_in=128), 10_000)
     t0 = time.perf_counter()
     disc.discrepancy_all_prefixes(disc.KernelSpec("sym"), pts)

@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -584,3 +587,179 @@ class TestPointValidation:
     def test_accepts_cube_faces(self, entry):
         pts = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
         assert np.isfinite(self.ENTRY_POINTS[entry](pts)).all()
+
+
+# The one-line, allocating kernel formulas that the in-place kernels
+# replaced; the reference walk below evaluates them.
+REFERENCE_K = {
+    "star": lambda x, y: 1.0 - np.maximum(x, y),
+    "ext": lambda x, y: np.minimum(x, y) - x * y,
+    "per": lambda x, y: 0.5 - np.abs(x - y) + (x - y) ** 2,
+    "ctr": lambda x, y: 0.5 * (np.abs(x - 0.5) + np.abs(y - 0.5) - np.abs(x - y)),
+    "sym": lambda x, y: 0.25 * (1.0 - 2.0 * np.abs(x - y)),
+    "asd": lambda x, y: 0.5 * (1.0 - np.abs(x - y)),
+}
+
+
+def reference_kahan_cumsum(values):
+    """Compensated running sums over numpy scalars (reference)."""
+    out = np.empty_like(values)
+    total = 0.0
+    comp = 0.0
+    for t, v in enumerate(values):
+        y = v - comp
+        tmp = total + y
+        comp = (tmp - total) - y
+        total = tmp
+        out[t] = total
+    return out
+
+
+def reference_pair_rowsums(spec, pts):
+    """r[j] = sum_{i<j} k(X_j, X_i), one allocated _tiles tile at a time on
+    the calling thread, with the REFERENCE_K formulas (reference)."""
+    k = REFERENCE_K[spec.family]
+    r = np.zeros(len(pts))
+    bt = np.ascontiguousarray(pts.T)
+    for lo, hi, c0, c1 in disc._tiles(len(pts)):
+        block = None
+        for j in range(pts.shape[1]):
+            kj = k(pts[lo:hi, j, None], bt[None, j, c0:c1])
+            if spec.weights is not None:
+                kj *= spec.weights[j]
+                kj += 1.0
+            block = kj if block is None else block * kj
+        if c0 == lo:
+            block = np.tril(block, -1)
+        r[lo:hi] += block.sum(axis=1)
+    return r
+
+
+def reference_outputs(monkeypatch, spec, weights, pts):
+    """_pair_rowsums, discrepancy_all_prefixes, prefix_loss and
+    prefix_loss_grad with the reference walk, cumulative sum and kernel
+    formulas patched in."""
+    with monkeypatch.context() as m:
+        fam = disc.KERNELS[spec.family]
+        ref_k = REFERENCE_K[spec.family]
+        m.setitem(disc.KERNELS, spec.family, dataclasses.replace(fam, k=lambda x, y, out=None, tmp=None: ref_k(x, y)))
+        m.setattr(disc, "_pair_rowsums", reference_pair_rowsums)
+        m.setattr(disc, "_kahan_cumsum", reference_kahan_cumsum)
+        return program_outputs(spec, weights, pts)
+
+
+def program_outputs(spec, weights, pts):
+    return (
+        disc._pair_rowsums(spec, pts),
+        disc.discrepancy_all_prefixes(spec, pts),
+        disc.prefix_loss(spec, weights, pts) if len(pts) > 1 else None,
+        disc.prefix_loss_grad(spec, weights, pts) if len(pts) > 1 else None,
+    )
+
+
+def force_workers(monkeypatch, workers):
+    """Run every walk on ``workers`` workers, however few its pairs."""
+    monkeypatch.setattr(disc, "_cpu_count", lambda: workers)
+    monkeypatch.setattr(disc, "_INLINE_PAIRS", 0)
+
+
+class TestPairWalk:
+    SIZES = (1, 2, 63, 64, 65, 127, 128, 129, 511, 512, 513, 1025, 3000)
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n", SIZES)
+    def test_matches_reference_at_any_worker_count(self, monkeypatch, family, weighted, n):
+        rng = np.random.default_rng([42, n])
+        pts = rng.uniform(0, 1, (n, 2))
+        pts[rng.random(n) < 0.1, 0] = 0.5  # ties and the ctr centre
+        spec = disc.KernelSpec(family, (1.5, 0.25) if weighted else None)
+        weights = disc.PrefixWeights("length-proportional")
+        ref = reference_outputs(monkeypatch, spec, weights, pts)
+        for workers in (1, 2, 3):
+            force_workers(monkeypatch, workers)
+            for got, want in zip(program_outputs(spec, weights, pts), ref):
+                assert np.array_equal(got, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 700),
+        d=st.integers(1, 4),
+        family=st.sampled_from(FAMILIES),
+        weighted=st.booleans(),
+        workers=st.integers(1, 3),
+        grid=st.sampled_from([0, 4, 1 << 20]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference_hypothesis(self, n, d, family, weighted, workers, grid, seed):
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(0, 1, (n, d)) if grid == 0 else rng.integers(0, grid + 1, (n, d)) / grid
+        spec = disc.KernelSpec(family, tuple(rng.uniform(0.05, 3.0, d)) if weighted else None)
+        weights = disc.PrefixWeights("uniform")
+        with pytest.MonkeyPatch.context() as m:
+            ref = reference_outputs(m, spec, weights, pts)
+            force_workers(m, workers)
+            for got, want in zip(program_outputs(spec, weights, pts), ref):
+                assert np.array_equal(got, want)
+
+    def test_kahan_cumsum_matches_reference(self):
+        rng = np.random.default_rng(43)
+        for values in (rng.normal(size=5000) * 10.0 ** rng.integers(-8, 8, 5000), np.zeros(0)):
+            assert np.array_equal(disc._kahan_cumsum(values), reference_kahan_cumsum(values))
+
+    def test_small_walk_starts_no_thread(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+        monkeypatch.setattr(disc, "_cpu_count", lambda: 4)
+        n = 256
+        assert n * (n - 1) // 2 < disc._INLINE_PAIRS
+        pts = np.random.default_rng(44).uniform(0, 1, (n, 2))
+        disc.discrepancy_all_prefixes(disc.KernelSpec("sym"), pts)
+        assert started == []
+        monkeypatch.setattr(disc, "_INLINE_PAIRS", 0)  # the same walk, threaded
+        disc.discrepancy_all_prefixes(disc.KernelSpec("sym"), pts)
+        assert len(started) == 3  # helpers beside the caller
+
+    def test_helper_failure_reaches_caller(self, monkeypatch):
+        row_block = disc._row_block
+
+        def fail_off_main(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("helper out of memory")
+            row_block(*args)
+
+        monkeypatch.setattr(disc, "_row_block", fail_off_main)
+        force_workers(monkeypatch, 2)
+        pts = np.random.default_rng(47).uniform(0, 1, (2000, 2))
+        with pytest.raises(MemoryError, match="helper"):
+            disc._pair_rowsums(disc.KernelSpec("sym"), pts)
+
+    def test_workers_call_no_traced_function(self, monkeypatch):
+        # perfbench wraps _kernel_cross with one span stack per process
+        callers = []
+        cross = disc._kernel_cross
+        monkeypatch.setattr(disc, "_kernel_cross", lambda *a: callers.append(threading.current_thread()) or cross(*a))
+        force_workers(monkeypatch, 3)
+        pts = np.random.default_rng(45).uniform(0, 1, (300, 3))
+        disc.discrepancy_all_prefixes(disc.KernelSpec("star"), pts)
+        disc.kernel_eval(disc.KernelSpec("star"), pts[0], pts[1])
+        assert callers == [threading.main_thread()]
+
+    def test_stress_many_workers_short_switch_interval(self, monkeypatch):
+        n = 1025
+        pts = np.random.default_rng(46).uniform(0, 1, (n, 3))
+        spec = disc.KernelSpec("ext", (0.5, 1.0, 2.0))
+        want = reference_pair_rowsums(spec, pts)
+        force_workers(monkeypatch, 8)  # more workers than cores
+        got = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=lambda: got.append(disc._pair_rowsums(spec, pts)))
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert len(got) == 1 and np.array_equal(got[0], want)
