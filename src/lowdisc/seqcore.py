@@ -16,12 +16,18 @@ The kernels are vectorized without changing a bit of their output:
 * Owen scrambling: the flips of the top ``K`` bits, ``K`` set by the whole
   set's size, come from a ``2^K``-entry prefix table per coordinate; only
   the lower levels are hashed.
-* Halton: ``digit * scale`` is added in the order of :func:`radical_inverse`.
+* Halton and van der Corput: ``digit * scale`` is added in the order of
+  :func:`radical_inverse`.  A consecutive run in a base ``b <= 127`` starts
+  from a table of the radical inverses of its ``K`` low digits (the largest
+  ``b^K`` that fits one block), which is the scalar partial sum bit for bit,
+  and adds the few higher digits, constant over ``b^K`` indices, to the whole
+  run; other bases and indices take a per-digit loop, exact at any index.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -41,7 +47,8 @@ _MASK64 = (1 << 64) - 1
 # Rows per block of the generator kernels.  The Sobol' and Owen blocks hold
 # a few (4096, d) uint64 buffers, a few hundred KB that stay in cache across
 # passes; larger blocks were slower.  The Halton buffers are 1-D, and taller
-# blocks cut the Python overhead of its per-base, per-digit loop.
+# blocks cut the Python overhead of its per-base, per-digit loop and of its
+# per-run table copies; a base's low-digit table holds at most one block.
 _BLOCK_ROWS = 4096
 _HALTON_ROWS = 1 << 14
 
@@ -84,13 +91,27 @@ def primes(n: int) -> list[int]:
 
 
 def _index_array(indices) -> np.ndarray:
-    """Sequence indices as a 1-D nonnegative int64 array."""
-    idx = np.asarray(indices, dtype=np.int64)
+    """Sequence indices as a 1-D nonnegative int64 array.  Integral floats
+    are accepted; a fraction, a non-finite value or a float of 2^63 or more
+    is a ValueError rather than a truncated index."""
+    idx = np.asarray(indices)
     if idx.ndim != 1:
         raise ValueError(f"indices must be a 1-D array, got shape {idx.shape}")
+    if idx.dtype.kind == "f":
+        if not (np.isfinite(idx).all() and (idx == np.trunc(idx)).all()):
+            raise ValueError("indices must be integers, got non-integral or non-finite values")
+        if idx.size and idx.max() >= 2.0**63:
+            raise ValueError("indices must be below 2^63")
+    idx = idx.astype(np.int64, copy=False)
     if idx.size and idx.min() < 0:
         raise ValueError("indices must be nonnegative")
     return idx
+
+
+def _consecutive(idx: np.ndarray) -> bool:
+    """Whether the 1-D ``idx`` holds two or more consecutive indices in order."""
+    m = len(idx)
+    return m > 1 and idx[-1] - idx[0] == m - 1 and bool((idx[1:] > idx[:-1]).all())
 
 
 def _fill_rows(kernel, n: int, d: int, rows: int, first: int = 0, indices=None, dtype=np.float64):
@@ -101,17 +122,23 @@ def _fill_rows(kernel, n: int, d: int, rows: int, first: int = 0, indices=None, 
     for lo in range(0, n, rows):
         block = out[lo : lo + rows]
         hi = lo + len(block)
-        kernel(np.arange(first + lo, first + hi) if indices is None else indices[lo:hi], block)
+        idx = np.arange(first + lo, first + hi, dtype=np.int64) if indices is None else indices[lo:hi]
+        kernel(idx, block)
     return out
 
 
 # ---------------------------------------------------------------------------
 # radical inverse / Halton
 
+def _check_base(base) -> int:
+    if not isinstance(base, numbers.Integral) or base < 2:
+        raise ValueError(f"base must be an integer >= 2, got {base!r}")
+    return int(base)
+
+
 def radical_inverse(i: int, base: int) -> float:
     """Reflect the base-``b`` digits of ``i`` across the radix point."""
-    if base < 2:
-        raise ValueError(f"radical inverse needs base >= 2, got {base}")
+    base = _check_base(base)
     if i < 0:
         raise ValueError("index must be nonnegative")
     x = 0.0
@@ -123,31 +150,53 @@ def radical_inverse(i: int, base: int) -> float:
     return x
 
 
-def _radical_inverse_into(rem, base: int, out, quot, term) -> None:
+def _radical_inverse_into(rem, base: int, out, quot, digit, term) -> None:
     """Add the radical inverse of the int64 indices ``rem`` into ``out``.
 
-    ``rem`` is consumed; ``quot`` and ``term`` are scratch of the same size.
-    Digits come off least-significant first and each adds ``digit * scale``
-    to ``out`` in the order :func:`radical_inverse` adds them, so every value
-    is bit-identical to the scalar one.  The loop stops once the largest
-    index is used up; further passes would only add 0.0.
+    ``rem`` is consumed; ``quot`` and ``digit`` are int64 scratch and
+    ``term`` float64 scratch of the same size.  Digits come off
+    least-significant first, exact in int64 at any index, and each adds
+    ``digit * scale`` to ``out`` in the order :func:`radical_inverse` adds
+    them, so every value is bit-identical to the scalar one.  The loop stops
+    once the largest index is used up; further passes would only add 0.0.
     """
     scale = 1.0 / base
     while rem.any():
-        np.floor_divide(rem, base, out=quot)
-        np.multiply(quot, base, out=term)
-        np.subtract(rem, term, out=term)  # the digit
+        np.divmod(rem, base, out=(quot, digit))
         rem, quot = quot, rem
-        np.multiply(term, scale, out=term)
+        np.multiply(digit, scale, out=term)
         out += term
         scale /= base
 
 
+def _radical_inverse_run(first: int, base: int, table, scale: float, out) -> None:
+    """Write the radical inverses of ``first .. first + len(out) - 1`` to ``out``.
+
+    ``table`` holds the radical inverses of ``0 .. base^K - 1`` and ``scale``
+    the weight of digit ``K``.  The scalar sum after the ``K`` low digits of
+    ``i`` is the table entry of ``i mod base^K``, bit for bit, so each run of
+    constant ``q = i // base^K`` is a table slice plus the digits of ``q``,
+    each added to the whole run in the scalar order (a 0 digit adds nothing).
+    """
+    size = len(table)
+    q, r = divmod(first, size)
+    lo = 0
+    while lo < len(out):
+        seg = out[lo : lo + size - r]
+        seg[...] = table[r : r + len(seg)]
+        k, s = q, scale
+        while k:
+            k, digit = divmod(k, base)
+            if digit:
+                seg += digit * s
+            s /= base
+        lo, q, r = lo + len(seg), q + 1, 0
+
+
 def radical_inverse_many(indices, base: int) -> np.ndarray:
     """Vectorized :func:`radical_inverse` over an index array."""
-    if base < 2:
-        raise ValueError(f"radical inverse needs base >= 2, got {base}")
-    idx = np.asarray(indices, dtype=np.int64)
+    base = _check_base(base)
+    idx = np.asarray(indices)
     flat = _index_array(idx.reshape(-1))
     fill = _radical_inverse_kernel((base,), flat.size)
     return _fill_rows(fill, flat.size, 1, _HALTON_ROWS, indices=flat).reshape(idx.shape)
@@ -156,17 +205,38 @@ def radical_inverse_many(indices, base: int) -> np.ndarray:
 def _radical_inverse_kernel(bases, n: int):
     """``fill(idx, block)`` writes the radical inverses of the int64 ``idx``
     in each base to the columns of ``block``, reusing scratch sized for the
-    row blocks of an ``n``-row set."""
+    row blocks of an ``n``-row set.
+
+    A block of consecutive indices takes :func:`_radical_inverse_run` in each
+    base ``b`` with ``b * b <= _HALTON_ROWS``, from a table of the largest
+    power of ``b`` that fits one block (at most ``_HALTON_ROWS`` entries, made
+    by the digit loop); larger bases and any other index array take the
+    digit loop of :func:`_radical_inverse_into`.
+    """
     rows = min(n, _HALTON_ROWS)
-    rem, quot = np.empty(rows, dtype=np.int64), np.empty(rows, dtype=np.int64)
+    rem, quot, digit = (np.empty(rows, dtype=np.int64) for _ in range(3))
     term, acc = np.empty(rows, dtype=np.float64), np.empty(rows, dtype=np.float64)
+    tables = {}
+    for base in bases:
+        if base * base <= _HALTON_ROWS:
+            size, scale = 1, 1.0 / base
+            while size * base <= rows:
+                size, scale = size * base, scale / base
+            table = np.zeros(size)
+            rem[:size] = np.arange(size)
+            _radical_inverse_into(rem[:size], base, table, quot[:size], digit[:size], term[:size])
+            tables[base] = table, scale
 
     def fill(idx, block):
         m = len(idx)
+        run = _consecutive(idx)
         for j, base in enumerate(bases):
-            np.copyto(rem[:m], idx)
-            acc[:m] = 0.0
-            _radical_inverse_into(rem[:m], base, acc[:m], quot[:m], term[:m])
+            if run and base in tables:
+                _radical_inverse_run(int(idx[0]), base, *tables[base], acc[:m])
+            else:
+                np.copyto(rem[:m], idx)
+                acc[:m] = 0.0
+                _radical_inverse_into(rem[:m], base, acc[:m], quot[:m], digit[:m], term[:m])
             block[:, j] = acc[:m]
 
     return fill
@@ -340,8 +410,7 @@ def _sobol_block(idx: np.ndarray, words: np.ndarray, VT: np.ndarray) -> None:
     each Gray code selects.  A consecutive run takes it for its first row and
     the rest by the Antonov-Saleev recurrence ``x_i = x_{i-1} ^ V[ctz(i)]``:
     one gather and one prefix XOR down the rows."""
-    m = len(idx)
-    if m > 1 and idx[-1] - idx[0] == m - 1 and (idx[1:] > idx[:-1]).all():
+    if _consecutive(idx):
         g = gray_code(int(idx[0]))
         words[0] = np.bitwise_xor.reduce(VT[[k for k in range(g.bit_length()) if g >> k & 1]], 0)
         np.take(VT, np.bitwise_count((idx[1:] & -idx[1:]) - 1), axis=0, out=words[1:])
@@ -575,6 +644,9 @@ def generate(spec: SequenceSpec, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    last = spec.burn_in + n - 1 + (spec.kind == "neural")  # a neural model takes raw index + 1
+    if last >= 1 << 63:
+        raise ValueError(f"the largest index {last} does not fit in int64 (burn_in={spec.burn_in}, n={n})")
     rows = _BLOCK_ROWS
     if spec.kind in ("vdc", "halton"):
         rows, kernel = _HALTON_ROWS, _radical_inverse_kernel(primes(spec.dim), n)

@@ -60,6 +60,54 @@ def reference_uniform_points(indices, dim, seed):
     return out
 
 
+def reference_radical_inverse_kernel(bases, n):
+    """The digit loop every index array took before consecutive runs came from
+    low-digit tables: per base, one pass per digit over the whole block,
+    adding ``digit * scale`` least-significant first.  The digit is formed in
+    int64, so the loop is exact at every int64 index."""
+    rows = min(n, sq._HALTON_ROWS)
+    rem, quot, digit = (np.empty(rows, dtype=np.int64) for _ in range(3))
+    term, acc = np.empty(rows), np.empty(rows)
+
+    def fill(idx, block):
+        m = len(idx)
+        for j, base in enumerate(bases):
+            r, q, dg, t, a = rem[:m], quot[:m], digit[:m], term[:m], acc[:m]
+            np.copyto(r, idx)
+            a[:] = 0.0
+            scale = 1.0 / base
+            while r.any():
+                np.floor_divide(r, base, out=q)
+                np.multiply(q, base, out=dg)
+                np.subtract(r, dg, out=dg)
+                r, q = q, r
+                np.multiply(dg, scale, out=t)
+                a += t
+                scale /= base
+            block[:, j] = a
+
+    return fill
+
+
+def reference_halton(idx, dim):
+    idx = np.asarray(idx, dtype=np.int64)
+    fill = reference_radical_inverse_kernel(sq.primes(dim), idx.size)
+    return sq._fill_rows(fill, idx.size, dim, sq._HALTON_ROWS, indices=idx)
+
+
+def table_sizes(bases):
+    """Each tabled base's table length at full blocks: its largest power
+    that fits one block."""
+    sizes = []
+    for b in bases:
+        if b * b <= sq._HALTON_ROWS:
+            size = b
+            while size * b <= sq._HALTON_ROWS:
+                size *= b
+            sizes.append(size)
+    return sizes
+
+
 class TestRadicalInverse:
     def test_single_digit_reflection(self):
         assert sq.radical_inverse(1, 2) == 0.5
@@ -152,6 +200,84 @@ class TestHalton:
             sq.halton_points(np.arange(4).reshape(2, 2), 2)
         with pytest.raises(ValueError, match="nonnegative"):
             sq.halton_points([3, -1], 2)
+
+
+class TestRadicalInverseRuns:
+    """Consecutive indices take the low-digit tables; every other index array
+    the digit loop.  Both must give the scalar radical inverse bit for bit."""
+
+    LARGE = [2**53 - 1, 2**53, 2**53 + 1, 2**60 + 12345, 2**63 - 1]
+
+    @pytest.mark.parametrize("burn_in", [0, 128, 2**31 - 5, 2**53 - 3])
+    @pytest.mark.parametrize("kind, dim", [("vdc", 1), ("halton", 8), ("halton", 40)])
+    def test_runs_match_digit_loop_at_table_edges(self, kind, dim, burn_in):
+        # dim 40 reaches the primes 131..173, which have no table
+        sizes = table_sizes(sq.primes(dim))
+        ns = sorted({1, 2} | {m for s in sizes for m in (s - 1, s, s + 1, 2 * s + 1)})
+        ref = reference_halton(np.arange(burn_in, burn_in + ns[-1]), dim)
+        for n in ns:
+            pts = sq.generate(sq.SequenceSpec(kind, dim, burn_in=burn_in), n)
+            np.testing.assert_array_equal(pts, ref[:n], err_msg=f"n={n}")
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**62), st.integers(1, 2 * sq._HALTON_ROWS + 3), st.integers(1, 40))
+    def test_runs_match_digit_loop(self, first, count, dim):
+        idx = np.arange(first, first + count)
+        np.testing.assert_array_equal(sq.halton_points(idx, dim), reference_halton(idx, dim))
+
+    @pytest.mark.parametrize("i", LARGE)
+    def test_large_indices_match_scalar_on_both_paths(self, i):
+        bases = sq.primes(40)
+        scalar = [sq.radical_inverse(i, b) for b in bases]
+        assert sq.halton_points([i], 40)[0].tolist() == scalar  # the digit loop
+        run = sq.generate(sq.SequenceSpec("halton", 40, burn_in=i - 2), 3)  # a run
+        assert run[2].tolist() == scalar
+        assert [sq.radical_inverse_many([i], b)[0] for b in bases[:3]] == scalar[:3]
+
+    def test_digits_above_2_53_are_exact(self):
+        assert sq.radical_inverse_many([2**63 - 1], 2)[0] == sq.radical_inverse(2**63 - 1, 2) == 1.0
+        i = 2**62 + 3
+        assert sq.halton_points([i], 3)[0].tolist() == [sq.radical_inverse(i, b) for b in (2, 3, 5)]
+
+    def test_matches_scipy_halton(self):
+        scipy_qmc = pytest.importorskip("scipy.stats.qmc")
+        ref = scipy_qmc.Halton(d=8, scramble=False).random(2**15)
+        np.testing.assert_array_equal(sq.generate(sq.SequenceSpec("halton", 8), 2**15), ref)
+
+    def test_largest_raw_index_must_fit_int64(self):
+        spec = sq.SequenceSpec("halton", 2, burn_in=2**63 - 2)
+        with pytest.raises(ValueError, match="burn_in=.*n=3"):
+            sq.generate(spec, 3)
+        np.testing.assert_array_equal(sq.generate(spec, 2), reference_halton([2**63 - 2, 2**63 - 1], 2))
+
+    def test_largest_neural_index_must_fit_int64(self, tmp_path):
+        # the model takes raw index + 1
+        from lowdisc import neuralnet as nn
+
+        model = nn.init_mlp(nn.EncodingConfig(bands=1, n_norm=10), 1, 4, 2, seed=0)
+        nn.save_model(model, tmp_path / "m.nn")
+        spec = sq.SequenceSpec("neural", 1, burn_in=2**63 - 1, model_path=str(tmp_path / "m.nn"))
+        with pytest.raises(ValueError, match="burn_in=.*n=1"):
+            sq.generate(spec, 1)
+
+    @pytest.mark.parametrize("bad", [[1.7], [2.0, np.nan], [np.inf], [2.0**63]])
+    def test_non_integral_indices_rejected(self, bad):
+        for call in (lambda: sq.halton_points(bad, 2), lambda: sq.radical_inverse_many(bad, 2),
+                     lambda: sq.sobol_raw(bad, 2)):
+            with pytest.raises(ValueError, match="indices must be"):
+                call()
+
+    def test_integral_float_indices_accepted(self):
+        np.testing.assert_array_equal(sq.halton_points([1.0, 3.0], 2), sq.halton_points([1, 3], 2))
+        one = sq.radical_inverse_many(np.array([[5.0]]), 3)
+        np.testing.assert_array_equal(one, [[sq.radical_inverse(5, 3)]])
+
+    @pytest.mark.parametrize("base", [2.5, 1, 0, True, "3"])
+    def test_base_must_be_an_integer(self, base):
+        with pytest.raises(ValueError, match="base must be an integer >= 2"):
+            sq.radical_inverse(5, base)
+        with pytest.raises(ValueError, match="base must be an integer >= 2"):
+            sq.radical_inverse_many([5], base)
 
 
 class TestGrayCode:
