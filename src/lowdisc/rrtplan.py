@@ -249,15 +249,20 @@ class RrtResult:
 
 # samples per speculative batch of ``rrt_plan``
 _BATCH = 32
-# nodes per block of the nearest-node search
-_NODE_BLOCK = 256
+# nodes per column block of the nearest-node search: a batch's block of
+# products is 128 KB (blocks of 1024 grew the peak memory twice as much)
+_COL_BLOCK = 512
+_EPS = np.finfo(np.float64).eps
+# covers the absolute error of products that underflow, at most 2^-1075 each
+_TINY = np.finfo(np.float64).tiny
 
 
 def _sq_dist(cols: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``(B, n)`` squared distances from each row of ``x`` to each node of
     ``cols``, the ``(dim, n)`` node coordinates by column.  The coordinate
     squares are summed left to right, as ``((nodes - x_i) ** 2).sum(axis=1)``
-    sums a node's four."""
+    sums a node's four.  Given ``(dim, B, 1)`` columns, one node per row, it
+    gives each row's ``(B, 1)`` distance to its own node."""
     d2 = np.square(cols[0] - x[:, :1])
     for k in range(1, len(cols)):
         t = cols[k] - x[:, k : k + 1]
@@ -265,22 +270,71 @@ def _sq_dist(cols: np.ndarray, x: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _nearest(cols: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index of each row's nearest node in ``cols`` (the first of equals, as
-    ``argmin`` picks it) and its squared distance.  The nodes are searched
-    in blocks of ``_NODE_BLOCK``, so the temporaries stay small whatever
-    the tree's size."""
+def _scan(cols: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The exact search: ``_sq_dist`` to every node of ``cols`` and the first
+    of equals, as ``argmin`` picks it, searched in column blocks."""
     rows = np.arange(len(x))
     nearest = np.zeros(len(x), dtype=np.int64)
     best = np.full(len(x), np.inf)
-    for lo in range(0, cols.shape[1], _NODE_BLOCK):
-        d2 = _sq_dist(cols[:, lo : lo + _NODE_BLOCK], x)
+    for lo in range(0, cols.shape[1], _COL_BLOCK):
+        d2 = _sq_dist(cols[:, lo : lo + _COL_BLOCK], x)
         j = d2.argmin(axis=1)
         d2_j = d2[rows, j]
         closer = d2_j < best
         nearest[closer] = lo + j[closer]
         best[closer] = d2_j[closer]
     return nearest, best
+
+
+def _nearest(cols: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each row's nearest node and its squared distance, both as
+    :func:`_scan` finds them.  ``cols`` holds the ``(dim, n)`` node
+    coordinates by column and each node's squared norm in an extra last row.
+
+    A filter ranks the nodes by ``|c|^2 - 2 x.c``, one matrix product per
+    column block, and keeps each row's best and runner-up.  When the
+    runner-up trails by more than the rounding slack below, the best is the
+    one node nearest by ``_sq_dist`` too, so only its distance is summed;
+    the other rows (ties and near-ties) take the exact scan.
+
+    The slack.  Let u = eps / 2, m = dim, g_k = k u / (1 - k u), and for a
+    row x and any node c, d = |c - x|^2 and s = (|x| + max |c|)^2 >= d.
+    ``_sq_dist`` rounds each difference, each square and m - 1 sums of
+    nonnegative terms, so its D is within g_(m+2) d <= g_(m+2) s of d.  The
+    stored norm is within g_m |c|^2 of |c|^2, and the product, a dot
+    product of m + 1 terms in any order BLAS picks, fused or not, is within
+    g_(m+1) (2 sum |x_k c_k| + |c|^2) of its exact value; so P is within
+    g_(2m+1) s of d - |x|^2.  For two nodes j, w of one row this gives
+    D_j - D_w >= P_j - P_w - 2 (g_(2m+1) + g_(m+2)) s, about
+    P_j - P_w - 3 (m + 1) eps s.  The slack is twice that bound: the factor
+    covers the second-order terms and the few roundings of s, of the
+    runner-up's gap and of the slack itself, each relative and of order u,
+    while ``_TINY`` covers underflow.  A gap above it means D_j > D_w for
+    every other node j.  An overflow makes the slack inf and a NaN the
+    gap, and both rows take the scan.
+    """
+    dim = len(cols) - 1
+    b = len(x)
+    rows = np.arange(b)
+    lhs = np.column_stack((-2.0 * x, np.ones(b)))
+    nearest = np.zeros(b, dtype=np.int64)
+    best = np.full(b, np.inf)
+    second = np.full(b, np.inf)
+    for lo in range(0, cols.shape[1], _COL_BLOCK):
+        p = lhs @ cols[:, lo : lo + _COL_BLOCK]
+        j = p.argmin(axis=1)
+        p_j = p[rows, j]
+        p[rows, j] = np.inf
+        closer = p_j < best
+        second = np.where(closer, np.minimum(best, p.min(axis=1)), np.minimum(second, p_j))
+        nearest[closer] = lo + j[closer]
+        best[closer] = p_j[closer]
+    s = np.sqrt(np.einsum("ij,ij->i", x, x)) + np.sqrt(cols[dim].max())
+    sure = second - best > 6 * (dim + 1) * _EPS * s * s + _TINY
+    d2 = _sq_dist(cols[:dim, nearest][:, :, None], x)[:, 0]
+    if not sure.all():
+        nearest[~sure], d2[~sure] = _scan(cols[:dim], x[~sure])
+    return nearest, d2
 
 
 def _steer(near: np.ndarray, x: np.ndarray, dist: np.ndarray, step: float) -> np.ndarray:
@@ -306,12 +360,18 @@ def rrt_plan(env: ChainEnv, cfg: RrtConfig, samples: np.ndarray) -> RrtResult:
     nodes in one ``chain_collision_many`` call.  A walk in sample order then
     keeps the nodes, and redoes the nearest node, step and collision test of
     any sample to which a node kept earlier in the batch is strictly closer
-    (a tie goes to the older, lower-indexed node, as ``argmin`` does).
+    (a tie goes to the older, lower-indexed node, as ``argmin`` does).  The
+    goal test's norm runs only on the kept nodes that the batch's goal
+    distances put within rounding of ``cfg.goal_tol``.  Every sample must
+    be finite.
     """
     samples = np.asarray(samples, dtype=np.float64)
     dim = len(env.start)
     if samples.ndim != 2 or samples.shape[1] != dim:
         raise ValueError(f"samples must be (k, {dim})")
+    bad = ~np.isfinite(samples).all(axis=1)
+    if bad.any():
+        raise ValueError(f"samples row {int(bad.argmax())} is not finite")
     start = np.asarray(env.start, dtype=np.float64)
     goal = np.asarray(env.goal, dtype=np.float64)
     if chain_collision(env, start, cfg.collision_samples):
@@ -319,9 +379,17 @@ def rrt_plan(env: ChainEnv, cfg: RrtConfig, samples: np.ndarray) -> RrtResult:
 
     budget = min(cfg.max_iters, len(samples))
     nodes = np.empty((budget + 1, dim))
-    cols = np.empty((dim, budget + 1))  # the nodes by coordinate, for _nearest
+    # the nodes by coordinate and their squared norms, for _nearest
+    cols = np.empty((dim + 1, budget + 1))
     parents = np.full(budget + 1, -1, dtype=np.int64)
-    nodes[0] = cols[:, 0] = start
+    nodes[0] = cols[:dim, 0] = start
+    cols[dim, 0] = start @ start
+    # A row passes the goal test only if its _sq_dist to the goal is at most
+    # this.  The test's norm and _sq_dist square the same differences, each
+    # sums them within g_dim of the exact sum (see _nearest), and the norm's
+    # sqrt rounds once more; so a passing row is within about (dim + 1) eps
+    # of goal_tol^2.  Twice that, plus underflow, leaves the test to decide.
+    goal_bound = cfg.goal_tol * cfg.goal_tol * (1.0 + 2 * (dim + 1) * _EPS) + _TINY
     n = 1
     for lo in range(0, budget, _BATCH):
         x_rand = samples[lo : min(lo + _BATCH, budget)]
@@ -329,6 +397,7 @@ def rrt_plan(env: ChainEnv, cfg: RrtConfig, samples: np.ndarray) -> RrtResult:
         nearest, best = _nearest(cols[:, :n0], x_rand)
         x_new = _steer(nodes[nearest], x_rand, np.sqrt(best), cfg.step)
         hit = chain_collision_many(env, x_new, cfg.collision_samples)
+        near_goal = _sq_dist(goal[:, None, None], x_new)[:, 0] <= goal_bound
         # cross[i, j]: squared distance from sample i to the node that sample
         # j adds, inf if it adds none; slot[j] is that node's index
         cross = _sq_dist(x_new.T, x_rand)
@@ -342,14 +411,15 @@ def rrt_plan(env: ChainEnv, cfg: RrtConfig, samples: np.ndarray) -> RrtResult:
                     x_new[i] = _steer(nodes[slot[j]][None], x_rand[i : i + 1],
                                       np.sqrt(cross[i, j : j + 1]), cfg.step)[0]
                     hit[i] = chain_collision(env, x_new[i], cfg.collision_samples)
+                    near_goal[i] = True  # its batched goal distance is stale
                     cross[:, i] = np.inf if hit[i] else _sq_dist(x_new[i][:, None], x_rand)[:, 0]
             if hit[i]:
                 continue
-            nodes[n] = cols[:, n] = x_new[i]
+            nodes[n] = cols[:dim, n] = x_new[i]
             parents[n] = nearest[i]
             slot[i] = n
             n += 1
-            if np.linalg.norm(x_new[i] - goal) <= cfg.goal_tol:
+            if near_goal[i] and np.linalg.norm(x_new[i] - goal) <= cfg.goal_tol:
                 path = [n - 1]
                 while parents[path[-1]] >= 0:
                     path.append(int(parents[path[-1]]))
@@ -360,6 +430,7 @@ def rrt_plan(env: ChainEnv, cfg: RrtConfig, samples: np.ndarray) -> RrtResult:
                     parents=parents[:n].copy(),
                     iterations=lo + i + 1,
                 )
+        cols[dim, n0:n] = np.einsum("ij,ij->j", cols[:dim, n0:n], cols[:dim, n0:n])
     return RrtResult(
         success=False,
         path=None,

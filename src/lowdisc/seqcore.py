@@ -130,6 +130,11 @@ def _fill_rows(kernel, n: int, d: int, rows: int, first: int = 0, indices=None, 
 # ---------------------------------------------------------------------------
 # radical inverse / Halton
 
+# The largest float64 below 1.0.  A sum of many digits, such as the 63
+# binary digits of 2^63 - 1, can round up to 1.0; every radical inverse is
+# clamped to this, which leaves any value below 1.0 as it is.
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+
 def _check_base(base) -> int:
     if not isinstance(base, numbers.Integral) or base < 2:
         raise ValueError(f"base must be an integer >= 2, got {base!r}")
@@ -147,7 +152,7 @@ def radical_inverse(i: int, base: int) -> float:
         i, digit = divmod(i, base)
         x += digit * scale
         scale /= base
-    return x
+    return min(x, _BELOW_ONE)
 
 
 def _radical_inverse_into(rem, base: int, out, quot, digit, term) -> None:
@@ -237,7 +242,7 @@ def _radical_inverse_kernel(bases, n: int):
                 np.copyto(rem[:m], idx)
                 acc[:m] = 0.0
                 _radical_inverse_into(rem[:m], base, acc[:m], quot[:m], digit[:m], term[:m])
-            block[:, j] = acc[:m]
+            np.minimum(acc[:m], _BELOW_ONE, out=block[:, j])
 
     return fill
 

@@ -166,6 +166,30 @@ class TestRrtPlan:
             assert not rp.chain_collision(env, q)
         assert np.linalg.norm(res.path[-1] - np.asarray(env.goal)) <= cfg.goal_tol
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_raise(self, bad):
+        env = rp.ChainEnv.tunnel_env(0.52, 3)
+        samples = sq.generate(sq.SequenceSpec("sobol", 4), 500)
+        samples[40, 2] = bad
+        samples[300] = bad
+        with pytest.raises(ValueError, match="samples row 40 "):
+            rp.rrt_plan(env, rp.RrtConfig(max_iters=500), samples)
+
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_goal_at_the_tolerance(self, ulps):
+        # one sample lands exactly at distance goal_tol from the goal, or an
+        # ulp of goal_tol inside or outside it
+        start = folded(0.3)
+        goal = start + np.array([0.01, 0.02, 0.0, 0.0])
+        near = start + np.array([0.013, 0.017, 0.002, 0.001])
+        tol = np.linalg.norm(near - goal)
+        tol = np.nextafter(tol, tol + ulps * np.inf) if ulps else tol
+        rng = np.random.default_rng(1)
+        samples = start + rng.uniform(0.2, 0.4, (80, 4)) * rng.choice([-1, 1], (80, 4))
+        samples[37] = near
+        res = plan_both(open_env(start, goal), rp.RrtConfig(max_iters=80, step=0.05, goal_tol=tol), samples)
+        assert res.success == (ulps >= 0)
+
     def test_tree_dump(self, tmp_path):
         env = open_env(folded(0.0), folded(0.5))
         cfg = rp.RrtConfig(max_iters=50, step=0.05, goal_tol=0.02)
@@ -442,6 +466,94 @@ class TestNearestSearchSum:
         got = rp._sq_dist(np.ascontiguousarray(nodes.T), x)
         for row, x_i in zip(got, x):
             np.testing.assert_array_equal(row, ((nodes - x_i) ** 2).sum(axis=1))
+
+
+def node_cols(nodes):
+    """The planner's node buffer: coordinates by column, squared norms last."""
+    cols = np.empty((nodes.shape[1] + 1, len(nodes)))
+    cols[:-1] = nodes.T
+    cols[-1] = np.einsum("ij,ij->j", cols[:-1], cols[:-1])
+    return cols
+
+
+def slack(x, nodes):
+    """The rounding slack of ``rrtplan._nearest`` for the rows of ``x``."""
+    s = np.linalg.norm(x, axis=1) + np.sqrt((nodes**2).sum(axis=1).max())
+    return 6 * (nodes.shape[1] + 1) * np.finfo(float).eps * s * s
+
+
+def near_ties(nodes, a, b, gaps):
+    """Samples on the bisector of the close nodes ``a`` and ``b``, each moved
+    so that ``|x - a|^2 - |x - b|^2`` is one of ``gaps`` times the slack."""
+    h = nodes[b] - nodes[a]
+    mid = nodes[a] + h / 2
+    return mid + (np.asarray(gaps) * slack(mid[None], nodes)[0] / (2 * h @ h))[:, None] * h
+
+
+class TestNearestFilter:
+    @given(seed=st.integers(0, 2**32 - 1),
+           n=st.sampled_from([1, 2, 7, 300, rp._COL_BLOCK - 1, rp._COL_BLOCK, rp._COL_BLOCK + 1, 2500]),
+           scaled=st.booleans(), dup=st.booleans(),
+           pair=st.tuples(st.integers(0, 2499), st.integers(0, 2499)),
+           exponent=st.floats(-4.0, 0.6), ulps=st.integers(-6, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_argmin_of_sq_dist(self, seed, n, scaled, dup, pair, exponent, ulps):
+        rng = np.random.default_rng(seed)
+        nodes = rng.uniform(0.0, 1.0, (n, 4))
+        if scaled:  # some nodes far out, as in TestNearestSearchSum
+            nodes[::7] *= rng.uniform(1e-6, 1e3, (len(nodes[::7]), 1))
+        if dup:  # exact duplicates, some in another column block
+            nodes[rng.integers(0, n, n // 3)] = nodes[rng.integers(0, n, n // 3)]
+        x = rng.uniform(0.0, 1.0, (rp._BATCH, 4))
+        x[:4] = nodes[rng.integers(0, n, 4)]  # samples on nodes
+        a, b = pair[0] % n, pair[1] % n
+        if a != b:
+            # near-ties of nodes a and b from 10^exponent times the slack
+            # down by halves, either side, each nudged a few ulp
+            nodes[b] = nodes[a] + rng.uniform(-1e-3, 1e-3, 4)
+            gaps = 10.0**exponent * 0.5 ** np.arange(8) * np.tile([1, -1], 4)
+            x[4:12] = near_ties(nodes, a, b, gaps)
+            if ulps:
+                x[4:12] = np.nextafter(x[4:12], np.sign(ulps) * np.inf)
+        got_j, got_d2 = rp._nearest(node_cols(nodes), x)
+        d2 = rp._sq_dist(nodes.T, x)
+        want_j = d2.argmin(axis=1)
+        np.testing.assert_array_equal(got_j, want_j)
+        np.testing.assert_array_equal(got_d2, d2[np.arange(len(x)), want_j])
+
+    @staticmethod
+    def misranked_near_ties():
+        """Rows of 100 trees whose ``_nearest`` index differs from the argmin
+        of ``_sq_dist``, each tree's samples a near-tie of two close nodes at
+        1e-4 to 2 times the slack, either side."""
+        rng = np.random.default_rng(0)
+        gaps = np.geomspace(1e-4, 2.0, 16)
+        gaps = np.concatenate([-gaps, gaps])
+        wrong = 0
+        for _ in range(100):
+            nodes = rng.uniform(0.0, 1.0, (50, 4))
+            nodes[1] = nodes[0] + rng.uniform(-1e-3, 1e-3, 4)
+            x = near_ties(nodes, 0, 1, gaps)
+            d2 = rp._sq_dist(nodes.T, x)
+            wrong += int((rp._nearest(node_cols(nodes), x)[0] != d2.argmin(axis=1)).sum())
+        return wrong
+
+    def test_near_ties_straddle_the_slack(self):
+        assert self.misranked_near_ties() == 0
+
+    def test_product_alone_misranks_near_ties(self, monkeypatch):
+        # with no slack the filter trusts the product, which misranks some
+        # of the same near-ties: the slack is what keeps the search exact
+        monkeypatch.setattr(rp, "_EPS", 0.0)
+        monkeypatch.setattr(rp, "_TINY", 0.0)
+        assert self.misranked_near_ties() > 0
+
+    def test_ties_take_the_first_node(self):
+        nodes = np.tile([0.2, 0.4, 0.6, 0.8], (rp._COL_BLOCK + 5, 1))
+        x = np.array([[0.3, 0.3, 0.3, 0.3], [0.2, 0.4, 0.6, 0.8]])
+        j, d2 = rp._nearest(node_cols(nodes), x)
+        assert j.tolist() == [0, 0]
+        assert d2.tolist() == [rp._sq_dist(nodes[:1].T, x)[0, 0], 0.0]
 
 
 CONFIG = st.floats(0.0, 1.0, allow_nan=False)

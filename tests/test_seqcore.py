@@ -64,7 +64,8 @@ def reference_radical_inverse_kernel(bases, n):
     """The digit loop every index array took before consecutive runs came from
     low-digit tables: per base, one pass per digit over the whole block,
     adding ``digit * scale`` least-significant first.  The digit is formed in
-    int64, so the loop is exact at every int64 index."""
+    int64, so the loop is exact at every int64 index.  A sum that rounds up
+    to 1.0 is clamped to the largest float below it."""
     rows = min(n, sq._HALTON_ROWS)
     rem, quot, digit = (np.empty(rows, dtype=np.int64) for _ in range(3))
     term, acc = np.empty(rows), np.empty(rows)
@@ -84,7 +85,7 @@ def reference_radical_inverse_kernel(bases, n):
                 np.multiply(dg, scale, out=t)
                 a += t
                 scale /= base
-            block[:, j] = a
+            block[:, j] = np.minimum(a, np.nextafter(1.0, 0.0))
 
     return fill
 
@@ -235,9 +236,25 @@ class TestRadicalInverseRuns:
         assert [sq.radical_inverse_many([i], b)[0] for b in bases[:3]] == scalar[:3]
 
     def test_digits_above_2_53_are_exact(self):
-        assert sq.radical_inverse_many([2**63 - 1], 2)[0] == sq.radical_inverse(2**63 - 1, 2) == 1.0
         i = 2**62 + 3
         assert sq.halton_points([i], 3)[0].tolist() == [sq.radical_inverse(i, b) for b in (2, 3, 5)]
+
+    @pytest.mark.parametrize("base", [2, 3])
+    def test_clamped_below_one_at_the_largest_index(self, base):
+        # the 63 binary digits of 2^63 - 1 sum to 1.0 in float64; every path
+        # clamps to the largest float below 1.0 and agrees with the scalar
+        i = 2**63 - 1
+        below_one = np.nextafter(1.0, 0.0)
+        scalar = sq.radical_inverse(i, base)
+        assert scalar <= below_one
+        if base == 2:
+            assert scalar == below_one
+        j = sq.primes(3).index(base)
+        assert sq.radical_inverse_many([i], base)[0] == scalar  # the digit loop
+        assert sq.halton_points([i], 3)[0, j] == scalar
+        assert sq.generate(sq.SequenceSpec("halton", 3, burn_in=i - 2), 3)[2, j] == scalar  # a run
+        if base == 2:
+            assert sq.generate(sq.SequenceSpec("vdc", 1, burn_in=i), 1)[0, 0] == scalar
 
     def test_matches_scipy_halton(self):
         scipy_qmc = pytest.importorskip("scipy.stats.qmc")
