@@ -78,11 +78,15 @@ def _cmd_disc(args) -> None:
             fh.write(f"{row + 1},{vals}\n")
 
 
+def _train_progress(stage, epoch, epochs, loss, seconds) -> None:
+    print(f"progress: {stage} epoch {epoch}/{epochs}, loss {loss:.6e}, {seconds:.2f} s", file=sys.stderr)
+
+
 def _cmd_train(args) -> None:
     cfg = trainer.load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
-    model, log = trainer.train_full(cfg)
+    model, log = trainer.train_full(cfg, progress=_train_progress)
     for note in log.notes:
         print(f"note: {note}", file=sys.stderr)
     for stage in ("pretrain", "finetune"):

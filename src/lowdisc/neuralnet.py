@@ -4,6 +4,15 @@ feed-forward network with ReLU hidden layers and a sigmoid output.
 Forward evaluation, hand-rolled reverse-mode gradients, a bias-corrected
 Adam step, and a versioned binary model format live here.  Everything is
 pure numpy and bit-reproducible for a fixed seed.
+
+The forward and backward write into a :class:`Workspace`: one buffer per
+layer that holds its pre-activation and then, rectified in place, its
+activation, plus the deltas, ReLU masks and gradients of the backward.  A
+training stage makes one workspace and reuses it every epoch; Adam updates
+in place with scratch kept in its :class:`AdamState`.  The public
+:func:`forward` and :func:`backward` use a fresh workspace per call, so
+their results are fresh arrays.  Buffered and fresh calls give the same
+bits as plain ``h @ w + b`` expressions.
 """
 
 from __future__ import annotations
@@ -14,6 +23,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from .seqcore import _index_array
 
 MODEL_MAGIC = b"LDSMLP01"
 MODEL_VERSION = 1
@@ -88,12 +99,30 @@ class MlpModel:
             out.append(b)
         return out
 
-    def copy_params(self) -> list[np.ndarray]:
-        return [p.copy() for p in self.params()]
+    def copy_params(self, out: list[np.ndarray] | None = None) -> list[np.ndarray]:
+        """A copy of the parameters, written into ``out`` when it is given."""
+        if out is None:
+            return [p.copy() for p in self.params()]
+        _check_like("out", out, self.params())
+        for dst, src in zip(out, self.params()):
+            np.copyto(dst, src)
+        return out
 
     def load_params(self, params: list[np.ndarray]) -> None:
+        _check_like("params", params, self.params())
         for dst, src in zip(self.params(), params):
             dst[...] = src
+
+
+def _check_like(name: str, arrays, params) -> None:
+    """A ``ValueError`` naming the first array of ``arrays`` whose count or
+    shape does not match ``params`` (weight, bias per layer)."""
+    if len(arrays) != len(params):
+        raise ValueError(f"{name} holds {len(arrays)} arrays, expected {len(params)}")
+    for l, (a, p) in enumerate(zip(arrays, params)):
+        if np.shape(a) != p.shape:
+            kind = "weights" if l % 2 == 0 else "bias"
+            raise ValueError(f"{name}[{l}] (layer {l // 2} {kind}) has shape {np.shape(a)}, expected {p.shape}")
 
 
 def init_mlp(
@@ -121,8 +150,7 @@ def init_mlp(
     )
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
+def _sigmoid(z: np.ndarray, out: np.ndarray) -> np.ndarray:
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
@@ -130,25 +158,56 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forward_encoded(model: MlpModel, enc: np.ndarray):
-    """Returns (points, activations); activations[l] is the input of layer l."""
-    acts = [enc]
-    h = enc
+class Workspace(list):
+    """The buffers of one forward and backward over ``n`` rows.
+
+    The list itself holds the activations: ``ws[l]`` is the input of layer
+    l (``ws[0]`` the encoded indices, set by each forward) and ``ws[-1]``
+    the sigmoid output.  The backward's deltas, masks and gradients are made
+    by its first call.  Reusing a workspace overwrites what it returned.
+    """
+
+    def __init__(self, model: MlpModel, n: int):
+        super().__init__([None] + [np.empty((n, w.shape[1])) for w in model.weights])
+        self.z = np.empty((n, model.out_dim))  # output pre-activation, then backward scratch
+        self.points = np.empty((n, model.out_dim))
+        self.grads = None
+
+    def backward_buffers(self, model: MlpModel):
+        """(deltas, masks, grads): ``deltas[l]`` and ``masks[l]`` are shaped
+        like layer l's output, ``grads`` like ``model.params()``."""
+        if self.grads is None:
+            self.deltas = [np.empty_like(a) for a in self[1:]]
+            self.masks = [np.empty(a.shape, dtype=bool) for a in self[1:-1]]
+            self.grads = [np.empty_like(p) for p in model.params()]
+        return self.deltas, self.masks, self.grads
+
+
+def _forward_encoded(model: MlpModel, enc: np.ndarray, ws: Workspace | None = None):
+    """Returns (points, activations), both held by ``ws`` (a fresh
+    workspace if None); activations[l] is the input of layer l."""
+    if ws is None:
+        ws = Workspace(model, len(enc))
+    ws[0] = enc
     last = len(model.weights) - 1
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w + b
+        z = ws[l + 1] if l < last else ws.z
+        np.matmul(ws[l], w, out=z)
+        z += b
         if l < last:
-            h = np.maximum(z, 0.0)
+            np.maximum(z, 0.0, out=z)
         else:
-            h = _sigmoid(z)
-        acts.append(h)
-    points = np.clip(h, _OUTPUT_EPS, 1.0 - _OUTPUT_EPS)
-    return points, acts
+            _sigmoid(z, out=ws[-1])
+    np.clip(ws[-1], _OUTPUT_EPS, 1.0 - _OUTPUT_EPS, out=ws.points)
+    return ws.points, ws
 
 
 def forward(model: MlpModel, indices) -> np.ndarray:
-    """Batch evaluation of the index-to-point map; pure and deterministic."""
-    idx = np.asarray(indices)
+    """Batch evaluation of the index-to-point map; pure and deterministic.
+
+    ``indices`` must be a 1-D array of finite nonnegative integers.
+    """
+    idx = _index_array(indices)
     if idx.size and int(idx.max()) > model.encoding.n_norm:
         warnings.warn(
             f"evaluating indices up to {int(idx.max())} beyond the trained "
@@ -156,25 +215,31 @@ def forward(model: MlpModel, indices) -> np.ndarray:
             ExtrapolationWarning,
             stacklevel=2,
         )
-    enc = encode_indices(model.encoding, idx)
-    return _forward_encoded(model, enc)[0]
+    return _forward_encoded(model, encode_indices(model.encoding, idx))[0]
 
 
-def _backward_encoded(model: MlpModel, acts, upstream: np.ndarray):
-    """Reverse-mode gradients given cached activations.
+def _backward_encoded(model: MlpModel, acts: Workspace, upstream: np.ndarray):
+    """Reverse-mode gradients given the workspace of a forward, written to
+    its gradient buffers.
 
     ReLU takes subgradient 0 at kinks; the sigmoid derivative uses the
     activation value s(1-s).
     """
-    grads: list[np.ndarray] = [None] * (2 * len(model.weights))
+    deltas, masks, grads = acts.backward_buffers(model)
     s = acts[-1]
-    delta = upstream * s * (1.0 - s)
+    delta = deltas[-1]
+    np.multiply(upstream, s, out=delta)
+    np.subtract(1.0, s, out=acts.z)
+    delta *= acts.z
     for l in range(len(model.weights) - 1, -1, -1):
-        a_in = acts[l]
-        grads[2 * l] = a_in.T @ delta
-        grads[2 * l + 1] = delta.sum(axis=0)
+        np.matmul(acts[l].T, delta, out=grads[2 * l])
+        delta.sum(axis=0, out=grads[2 * l + 1])
         if l > 0:
-            delta = (delta @ model.weights[l].T) * (acts[l] > 0.0)
+            below = deltas[l - 1]
+            np.matmul(delta, model.weights[l].T, out=below)
+            np.greater(acts[l], 0.0, out=masks[l - 1])
+            np.multiply(below, masks[l - 1], out=below)
+            delta = below
     return grads
 
 
@@ -183,8 +248,8 @@ def backward(model: MlpModel, indices, upstream) -> list[np.ndarray]:
 
     Returned arrays follow the ``MlpModel.params()`` ordering.
     """
+    enc = encode_indices(model.encoding, _index_array(indices))
     upstream = np.asarray(upstream, dtype=np.float64)
-    enc = encode_indices(model.encoding, indices)
     _, acts = _forward_encoded(model, enc)
     if upstream.shape != acts[-1].shape:
         raise ValueError(
@@ -199,7 +264,8 @@ def backward(model: MlpModel, indices, upstream) -> list[np.ndarray]:
 
 @dataclass
 class AdamState:
-    """First/second moment buffers shaped like the parameters."""
+    """First/second moment buffers shaped like the parameters, and two
+    scratch arrays per parameter, made by the first step."""
 
     m: list[np.ndarray]
     v: list[np.ndarray]
@@ -207,6 +273,7 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    scratch: list = field(default_factory=list, repr=False, compare=False)
 
     @classmethod
     def for_params(cls, params, **kwargs) -> "AdamState":
@@ -218,21 +285,39 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params, grads, lr: float) -> None:
-    """One bias-corrected Adam update, applied to the parameters in place."""
+    """One bias-corrected Adam update, applied to the parameters in place.
+
+    Every product and quotient is the one of ``m = b1 m + (1 - b1) g``,
+    ``v = b2 v + ((1 - b2) g) g`` and ``p -= lr (m / c1) / (sqrt(v / c2) +
+    eps)``, evaluated into scratch, so the update has the same bits.
+    """
+    _check_like("grads", grads, params)
+    _check_like("Adam moments", state.m, params)
     for l, g in enumerate(grads):
         if not np.isfinite(g).all():
             kind = "weights" if l % 2 == 0 else "bias"
             raise ValueError(f"non-finite gradient in layer {l // 2} {kind}")
+    if len(state.scratch) != len(params):
+        state.scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1**state.step
     c2 = 1.0 - b2**state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, g, m, v, (num, den) in zip(params, grads, state.m, state.v, state.scratch):
         m *= b1
-        m += (1.0 - b1) * g
+        np.multiply(g, 1.0 - b1, out=num)
+        m += num
         v *= b2
-        v += (1.0 - b2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        np.multiply(g, 1.0 - b2, out=num)
+        num *= g
+        v += num
+        np.divide(m, c1, out=num)
+        num *= lr
+        np.divide(v, c2, out=den)
+        np.sqrt(den, out=den)
+        den += state.eps
+        num /= den
+        p -= num
 
 
 # ---------------------------------------------------------------------------

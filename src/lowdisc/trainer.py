@@ -11,6 +11,11 @@ and step e + 1's gradient, so E epochs take E + 1 forwards.  A non-finite
 loss or gradient, or a collapse after epoch 0, stops either stage with a
 note and returns its checkpoint; a collapse at epoch 0 raises
 ``CollapseError``.
+
+Each stage allocates once: one ``neuralnet.Workspace`` for the forward and
+backward of all ``n_points`` rows, the Adam moments and scratch, and one
+parameter set for the checkpoint.  Every epoch writes into them, and the
+end of the stage copies the checkpoint into the model's own arrays.
 """
 
 from __future__ import annotations
@@ -159,22 +164,25 @@ def _check_collapse(points: np.ndarray, pretrained: bool = True) -> None:
         )
 
 
-def _run_stage(stage, model, cfg, epochs, loss_of, upstream_of, lr_at, keep_best):
+def _run_stage(stage, model, cfg, epochs, loss_of, upstream_of, lr_at, keep_best, progress=None):
     """The loop both stages share: ``loss_of(out)`` may raise ``CollapseError``,
     ``upstream_of(out)`` is the loss gradient, and the checkpoint holds the
     best-loss parameters if ``keep_best``, else the last finite-loss ones.
-    Returns the log and the checkpoint's loss."""
+    ``progress(stage, epoch, epochs, loss, seconds)``, if given, hears of
+    every tenth of the epochs.  Returns the log and the checkpoint's loss."""
     if model.out_dim != cfg.dim:
         raise ValueError(f"model emits dimension {model.out_dim}, config asks for {cfg.dim}")
     restored = "restored best checkpoint" if keep_best else "restored last good checkpoint"
     enc = neuralnet.encode_indices(model.encoding, np.arange(1, cfg.n_points + 1))
+    ws = neuralnet.Workspace(model, cfg.n_points)
     params = model.params()
     adam = neuralnet.AdamState.for_params(params)
+    best_params = [np.empty_like(p) for p in params]
     log = TrainLog()
     t0 = time.perf_counter()
     lr = lr_at(0)
     for epoch in range(epochs + 1):
-        out, acts = neuralnet._forward_encoded(model, enc)
+        out, acts = neuralnet._forward_encoded(model, enc, ws)
         try:
             loss = loss_of(out)
         except CollapseError as exc:
@@ -188,8 +196,11 @@ def _run_stage(stage, model, cfg, epochs, loss_of, upstream_of, lr_at, keep_best
                 break
             log.notes.append(f"{stage} diverged at epoch 0: the starting model gives a non-finite loss; returned it unchanged")
         if not keep_best or epoch == 0 or loss < best_loss:
-            best_loss, best_params = loss, model.copy_params()
+            best_loss = loss
+            model.copy_params(best_params)
         log.append(stage, epoch, loss, lr, time.perf_counter() - t0)
+        if progress is not None and epoch and 10 * epoch // epochs > 10 * (epoch - 1) // epochs:
+            progress(stage, epoch, epochs, loss, log.records[-1].seconds)
         if epoch == epochs or not np.isfinite(loss):
             break
         grads = neuralnet._backward_encoded(model, acts, upstream_of(out))
@@ -203,12 +214,13 @@ def _run_stage(stage, model, cfg, epochs, loss_of, upstream_of, lr_at, keep_best
     return log, best_loss
 
 
-def pretrain(cfg: TrainConfig, model: neuralnet.MlpModel | None = None):
+def pretrain(cfg: TrainConfig, model: neuralnet.MlpModel | None = None, progress=None):
     """Regress the network onto the reference sequence with MSE.
 
     Targets for sequence-local index i are the reference points at raw
     index i - 1 + burn_in.  Returns the final model and a per-epoch log;
     on divergence the last finite-loss parameters are restored.
+    ``progress`` is as in ``_run_stage``.
     """
     if model is None:
         model = neuralnet.init_mlp(
@@ -228,6 +240,7 @@ def pretrain(cfg: TrainConfig, model: neuralnet.MlpModel | None = None):
         upstream_of=lambda out: 2.0 * (out - targets) / cfg.n_points,
         lr_at=lambda epoch: cfg.pretrain_lr,
         keep_best=False,
+        progress=progress,
     )
     model.meta.update(
         {
@@ -244,12 +257,13 @@ def pretrain(cfg: TrainConfig, model: neuralnet.MlpModel | None = None):
     return model, log
 
 
-def finetune(model: neuralnet.MlpModel, cfg: TrainConfig):
+def finetune(model: neuralnet.MlpModel, cfg: TrainConfig, progress=None):
     """Full-batch gradient descent on the prefix-discrepancy loss with
     cosine learning-rate decay; returns the best-loss checkpoint.
 
     Raises ``CollapseError`` when the starting model's points have already
     collapsed; a later collapse stops training with a note instead.
+    ``progress`` is as in ``_run_stage``.
     """
     kspec = cfg.kernel_spec()
     weights = discrepancy.PrefixWeights(cfg.weight_scheme)
@@ -267,6 +281,7 @@ def finetune(model: neuralnet.MlpModel, cfg: TrainConfig):
         upstream_of=lambda points: discrepancy.prefix_loss_grad(kspec, weights, points),
         lr_at=lambda epoch: cosine_lr(cfg.finetune_lr, cfg.final_lr_ratio, epoch, cfg.finetune_epochs),
         keep_best=True,
+        progress=progress,
     )
     model.meta.update(
         {
@@ -280,18 +295,20 @@ def finetune(model: neuralnet.MlpModel, cfg: TrainConfig):
     return model, log
 
 
-def train_full(cfg: TrainConfig):
-    """Pretrain, then fine-tune; the returned log covers both stages."""
+def train_full(cfg: TrainConfig, progress=None):
+    """Pretrain, then fine-tune; the returned log covers both stages.
+    ``progress(stage, epoch, epochs, loss, seconds)``, if given, hears of
+    every tenth of each stage's epochs."""
     if cfg.pretrain_epochs == 0:
         message = (
             "pretrain_epochs=0: fine-tuning from a random initialization is "
             "an unsupported regime that tends to collapse toward a corner"
         )
         warnings.warn(message, UserWarning, stacklevel=2)
-    model, log = pretrain(cfg)
+    model, log = pretrain(cfg, progress=progress)
     if cfg.pretrain_epochs == 0:
         log.notes.append("unsupported-regime warning: direct fine-tune without pretraining")
-    model, ftlog = finetune(model, cfg)
+    model, ftlog = finetune(model, cfg, progress=progress)
     log.extend(ftlog)
     return model, log
 

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from lowdisc import cli, discrepancy, neuralnet, rrtplan, seqcore
+from lowdisc import cli, discrepancy, neuralnet, rrtplan, seqcore, trainer
 from lowdisc.seqcore import SequenceSpec
 
 
@@ -258,6 +258,40 @@ class TestTrainNotes:
         assert code == 0
         err = capsys.readouterr().err
         assert "note: unsupported-regime warning: direct fine-tune without pretraining" in err
+
+
+class TestTrainProgress:
+    def test_a_line_at_every_tenth_of_each_stage(self, tmp_path, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(
+            "dim: 2\nn_points: 12\nloss_family: sym\nhidden: 8\nlayers: 2\n"
+            "bands: 2\npretrain_epochs: 25\nfinetune_epochs: 4\nseed: 1\n"
+        )
+        model_path, log_path = tmp_path / "model.nn", tmp_path / "log.csv"
+        assert run(["train", "--config", str(cfg), "--out-model", str(model_path),
+                    "--log", str(log_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = [line for line in captured.err.splitlines() if line.startswith("progress: ")]
+        number = r"-?\d\.\d{6}e[+-]\d\d"
+        epochs = []
+        for line in lines:
+            match = re.fullmatch(rf"progress: (\w+) epoch (\d+)/(\d+), loss {number}, \d+\.\d\d s", line)
+            assert match, line
+            epochs.append((match.group(1), int(match.group(2)), int(match.group(3))))
+        assert epochs == ([("pretrain", e, 25) for e in (3, 5, 8, 10, 13, 15, 18, 20, 23, 25)]
+                          + [("finetune", e, 4) for e in (1, 2, 3, 4)])
+        # the same model and log rows as a run that reports nothing
+        model, log = trainer.train_full(trainer.load_config(cfg))
+        neuralnet.save_model(model, tmp_path / "quiet.nn")
+        assert model_path.read_bytes() == (tmp_path / "quiet.nn").read_bytes()
+        assert (tmp_path / "model.nn.meta").read_text() == (tmp_path / "quiet.nn.meta").read_text()
+        log.write_csv(tmp_path / "quiet.csv")
+
+        def rows(path):
+            return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+        assert rows(log_path) == rows(tmp_path / "quiet.csv")
 
 
 class TestMcReferenceCount:

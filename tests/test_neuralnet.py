@@ -151,6 +151,176 @@ class TestBackward:
             nn.backward(model, [1, 2], np.zeros((2, 5)))
 
 
+# ---------------------------------------------------------------------------
+# The fresh-array forward, backward and Adam step the buffered ones replaced.
+# They are the oracle: every buffered result must have the same bits.
+
+def reference_forward_encoded(model, enc):
+    acts = [enc]
+    h = enc
+    last = len(model.weights) - 1
+    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = h @ w + b
+        if l < last:
+            h = np.maximum(z, 0.0)
+        else:
+            h = np.empty_like(z)
+            pos = z >= 0
+            h[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+            ez = np.exp(z[~pos])
+            h[~pos] = ez / (1.0 + ez)
+        acts.append(h)
+    return np.clip(h, 1e-15, 1.0 - 1e-15), acts
+
+
+def reference_backward_encoded(model, acts, upstream):
+    grads = [None] * (2 * len(model.weights))
+    s = acts[-1]
+    delta = upstream * s * (1.0 - s)
+    for l in range(len(model.weights) - 1, -1, -1):
+        grads[2 * l] = acts[l].T @ delta
+        grads[2 * l + 1] = delta.sum(axis=0)
+        if l > 0:
+            delta = (delta @ model.weights[l].T) * (acts[l] > 0.0)
+    return grads
+
+
+def reference_adam_step(state, params, grads, lr):
+    state.step += 1
+    b1, b2 = state.beta1, state.beta2
+    c1 = 1.0 - b1**state.step
+    c2 = 1.0 - b2**state.step
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+
+
+class TestBufferedMatchesFresh:
+    @pytest.mark.parametrize("layers", [1, 2, 4])
+    @pytest.mark.parametrize("out_dim", [1, 3])
+    @pytest.mark.parametrize("n", [2, 3, 256])
+    def test_forward_and_backward(self, layers, out_dim, n):
+        model = tiny_model(seed=layers + 10 * out_dim, bands=3, n_norm=n, hidden=32, layers=layers,
+                           out_dim=out_dim)
+        rng = np.random.default_rng(n)
+        for b in model.biases:  # some ReLUs off, some on, and a saturated sigmoid or two
+            b += rng.normal(scale=0.5, size=b.shape)
+        model.biases[-1][0] = -40.0
+        ws = nn.Workspace(model, n)
+        for step in range(3):  # the same workspace, reused with new inputs
+            enc = nn.encode_indices(model.encoding, rng.permutation(n) + 1)
+            upstream = rng.normal(size=(n, out_dim))
+            want_points, want_acts = reference_forward_encoded(model, enc)
+            points, acts = nn._forward_encoded(model, enc, ws)
+            assert acts is ws and points is ws.points
+            np.testing.assert_array_equal(points, want_points)
+            for got, want in zip(acts, want_acts, strict=True):
+                np.testing.assert_array_equal(got, want)
+            grads = nn._backward_encoded(model, acts, upstream)
+            want_grads = reference_backward_encoded(model, want_acts, upstream)
+            for got, want in zip(grads, want_grads, strict=True):
+                np.testing.assert_array_equal(got, want)
+            for p in model.params():  # move the model so the next round differs
+                p += rng.normal(scale=0.05, size=p.shape)
+
+    def test_adam_step_matches_reference_over_50_steps(self):
+        model, ref = tiny_model(seed=3, hidden=16), tiny_model(seed=3, hidden=16)
+        state = nn.AdamState.for_params(model.params())
+        ref_state = nn.AdamState.for_params(ref.params())
+        rng = np.random.default_rng(5)
+        for step in range(50):
+            grads = [rng.normal(scale=10.0 ** rng.integers(-6, 2), size=p.shape) for p in model.params()]
+            lr = 10.0 ** rng.uniform(-4, -1)
+            nn.adam_step(state, model.params(), grads, lr)
+            reference_adam_step(ref_state, ref.params(), grads, lr)
+            assert state.step == ref_state.step == step + 1
+            for got, want in zip(model.params() + state.m + state.v,
+                                 ref.params() + ref_state.m + ref_state.v, strict=True):
+                np.testing.assert_array_equal(got, want)
+
+    def test_public_results_do_not_alias(self):
+        model = tiny_model(seed=2)
+        a = nn.forward(model, [1, 2, 3])
+        b = nn.forward(model, [1, 2, 3])
+        np.testing.assert_array_equal(a, b)
+        assert not np.shares_memory(a, b)
+        a_before = a.copy()
+        nn.forward(model, [4, 5, 6])
+        np.testing.assert_array_equal(a, a_before)
+        up = np.ones((3, 2))
+        g1, g2 = nn.backward(model, [1, 2, 3], up), nn.backward(model, [1, 2, 3], up)
+        for x, y in zip(g1, g2, strict=True):
+            np.testing.assert_array_equal(x, y)
+            assert not np.shares_memory(x, y)
+
+
+class TestIndexBoundary:
+    BAD = {
+        "2-d": (np.array([[1, 2], [3, 4]]), "1-D"),
+        "nan": ([np.nan], "integers"),
+        "negative": ([-3, 1], "nonnegative"),
+        "fraction": ([1.5, 2], "integers"),
+        "infinite": ([1.0, np.inf], "integers"),
+    }
+
+    @pytest.mark.parametrize("indices, match", BAD.values(), ids=BAD)
+    def test_forward_and_backward_reject(self, indices, match):
+        model = tiny_model()
+        with pytest.raises(ValueError, match=f"indices .*{match}"):
+            nn.forward(model, indices)
+        with pytest.raises(ValueError, match=f"indices .*{match}"):
+            nn.backward(model, indices, np.zeros((np.size(indices), 2)))
+
+    def test_integral_floats_and_zero_give_the_same_bits(self):
+        model = tiny_model(seed=7)
+        want = reference_forward_encoded(model, nn.encode_indices(model.encoding, np.arange(0, 5)))[0]
+        np.testing.assert_array_equal(nn.forward(model, [0, 1, 2, 3, 4]), want)
+        np.testing.assert_array_equal(nn.forward(model, [0.0, 1.0, 2.0, 3.0, 4.0]), want)
+        assert nn.forward(model, []).shape == (0, 2)
+
+
+class TestParameterLists:
+    def test_load_params_rejects_a_short_list(self):
+        model = tiny_model()
+        before = model.copy_params()
+        with pytest.raises(ValueError, match="params holds 2 arrays, expected 6"):
+            model.load_params(model.copy_params()[:2])
+        for a, b in zip(model.params(), before, strict=True):
+            np.testing.assert_array_equal(a, b)
+
+    def test_load_params_names_the_first_wrong_shape(self):
+        model = tiny_model()
+        params = model.copy_params()
+        params[3] = np.zeros(7)
+        with pytest.raises(ValueError, match=r"params\[3\] \(layer 1 bias\) has shape \(7,\), expected \(6,\)"):
+            model.load_params(params)
+
+    def test_copy_params_into_a_given_set(self):
+        model = tiny_model(seed=1)
+        out = [np.empty_like(p) for p in model.params()]
+        assert model.copy_params(out) is out
+        for got, want in zip(out, model.params(), strict=True):
+            np.testing.assert_array_equal(got, want)
+            assert not np.shares_memory(got, want)
+
+    def test_adam_step_rejects_short_or_misshapen_gradients(self):
+        model = tiny_model()
+        before = model.copy_params()
+        state = nn.AdamState.for_params(model.params())
+        grads = [np.ones_like(p) for p in model.params()]
+        with pytest.raises(ValueError, match="grads holds 4 arrays, expected 6"):
+            nn.adam_step(state, model.params(), grads[:4], lr=0.1)
+        grads[4] = np.ones((2, 6))
+        with pytest.raises(ValueError, match=r"grads\[4\] \(layer 2 weights\) has shape \(2, 6\)"):
+            nn.adam_step(state, model.params(), grads, lr=0.1)
+        assert state.step == 0
+        for a, b in zip(model.params(), before, strict=True):
+            np.testing.assert_array_equal(a, b)
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
         model = tiny_model(seed=5)

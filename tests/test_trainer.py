@@ -1,6 +1,7 @@
 import copy
 
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -722,3 +723,42 @@ class TestOneDivergencePolicy:
         assert [r.epoch for r in log.records] == [0]
         assert np.isnan(log.records[0].loss) and np.isnan(tuned.meta["pretrain_mse"])
         assert all(np.isnan(p).all() for p in tuned.params())
+
+
+class TestStageBuffers:
+    """Each stage writes into one workspace; what it returns is the model's own."""
+
+    def test_trained_parameters_own_their_data(self):
+        model, _ = tr.train_full(small_cfg(dim=2))
+        for p in model.params():
+            assert p.flags.owndata and p.base is None
+
+    def test_finetuning_a_copy_leaves_the_original(self):
+        cfg = small_cfg(dim=2)
+        model, _ = tr.pretrain(cfg)
+        before = [p.tobytes() for p in model.params()]
+        tuned, _ = tr.finetune(copy.deepcopy(model), cfg)
+        assert [p.tobytes() for p in model.params()] == before
+        assert [p.tobytes() for p in tuned.params()] != before
+
+    @pytest.mark.parametrize("epochs, reported", [
+        (0, []), (1, [1]), (7, [1, 2, 3, 4, 5, 6, 7]), (25, [3, 5, 8, 10, 13, 15, 18, 20, 23, 25]),
+        (300, list(range(30, 301, 30))),
+    ])
+    def test_progress_every_tenth_of_a_stage(self, epochs, reported):
+        heard = []
+        cfg = small_cfg(pretrain_epochs=epochs, finetune_epochs=epochs, n_points=8, hidden=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # pretrain_epochs=0 is an unsupported regime
+            _, log = tr.train_full(cfg, progress=lambda *args: heard.append(args))
+        for stage in ("pretrain", "finetune"):
+            rows = {r.epoch: r for r in log.records if r.stage == stage}
+            got = [args for args in heard if args[0] == stage]
+            assert [args[1] for args in got] == reported
+            assert got == [(stage, e, epochs, rows[e].loss, rows[e].seconds) for e in reported]
+
+    def test_progress_changes_nothing(self):
+        cfg = small_cfg(dim=2)
+        quiet = tr.train_full(cfg)
+        loud = tr.train_full(cfg, progress=lambda *args: None)
+        assert_same_run(loud, quiet)
