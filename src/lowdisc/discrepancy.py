@@ -15,8 +15,9 @@ reformulation.
 All pair terms come from one pass over the lower triangle of the N x N
 pair matrix, in blocks of 64 rows.  The row sums evaluate each block
 against spans of up to 512 columns into scratch that each worker allocates
-once per walk (768 KB), so memory stays flat in N; the gradient evaluates
-64 x 128 tiles.  Large walks split their row blocks over one worker thread
+once per walk (768 KB), so memory stays flat in N.  ``prefix_loss_grad``
+walks 64 x 128 tiles once and takes both the loss and its gradient from
+them; its loss is the one ``prefix_loss`` gives, bit for bit.  Large walks split their row blocks over one worker thread
 per CPU the process may run on.  Every row sum is grouped in an order fixed
 by N alone and is summed by one worker, so results are deterministic and
 the same at any worker count.  Points must be finite and lie in the unit
@@ -274,8 +275,8 @@ def kernel_eval(spec: KernelSpec, x, y) -> float:
 # Pair terms are evaluated over the lower triangle of the N x N pair matrix
 # in row blocks of _TILE_ROWS points.  _tiles splits each block's columns
 # into blocks of at most _TILE_PAIRS pairs; that split fixes how every row
-# sum is grouped, and the gradient walk evaluates one such tile at a time.
-# The gradient's tile temporaries stay at 64 KB, below glibc's 128 KB mmap
+# sum is grouped, and the loss-and-gradient walk evaluates one such tile at
+# a time.  Its tile temporaries stay at 64 KB, below glibc's 128 KB mmap
 # threshold, so malloc reuses heap blocks instead of faulting in fresh pages.
 # The row sums instead evaluate _SPAN_COLS columns (four tiles) per kernel
 # call into scratch that each worker allocates once per walk, three buffers
@@ -518,10 +519,13 @@ def prefix_loss(spec: KernelSpec, weights: PrefixWeights, points) -> float:
     k_ii, and k_ij term avoids the O(N^3) sum of per-prefix double sums.
     """
     pts, c0, b, r, kd = _terms(spec, points)
-    w, alpha, beta = _loss_coefficients(weights, len(pts))
-    return float(
-        w.sum() * c0 + alpha @ b + beta @ kd + 2.0 * (beta @ r)
-    )
+    return _weighted_loss(_loss_coefficients(weights, len(pts)), c0, b, r, kd)
+
+
+def _weighted_loss(coefficients, c0, b, r, kd) -> float:
+    """The loss from the terms of D^2 and ``_loss_coefficients``."""
+    w, alpha, beta = coefficients
+    return float(w.sum() * c0 + alpha @ b + beta @ kd + 2.0 * (beta @ r))
 
 
 def _loo_products(factors: list) -> list:
@@ -538,14 +542,18 @@ def _loo_products(factors: list) -> list:
     return [right[0]] + [lt * rt for lt, rt in zip(left[:-1], right[1:])] + [left[-1]]
 
 
-def prefix_loss_grad(
-    spec: KernelSpec, weights: PrefixWeights, points
-) -> np.ndarray:
-    """Gradient of :func:`prefix_loss` with respect to every coordinate."""
+def prefix_loss_grad(spec: KernelSpec, weights: PrefixWeights, points):
+    """(:func:`prefix_loss`, its gradient with respect to every coordinate),
+    from one walk over the pairs.
+
+    Each tile's kernel product also gives its row sums, grouped as in
+    ``_row_block``, so the loss equals ``prefix_loss`` bit for bit.
+    """
     pts = seqcore.unit_cube_points(points)
     n, d = pts.shape
-    spec._check_dim(d)
-    _, alpha, beta = _loss_coefficients(weights, n)
+    const = kernel_constant(spec, d)  # checks the weights' length
+    coefficients = _loss_coefficients(weights, n)
+    _, alpha, beta = coefficients
     fam = KERNELS[spec.family]
     gam = None if spec.weights is None else np.asarray(spec.weights)
 
@@ -564,14 +572,22 @@ def prefix_loss_grad(
     # beta[max(m, j)] == min(beta[m], beta[j]) because beta is a suffix sum
     # of nonnegative terms.  An off-diagonal tile adds each pair's derivative
     # in both slots; the square diagonal tile holds both orders of its pairs.
+    # The factors, multiplied in _kernel_product's order, give the row sums r.
+    r = np.zeros(n)
     cols = np.ascontiguousarray(pts.T)
     for lo, hi, c0, c1 in _tiles(n):
-        loo = _loo_products(_kernel_factors(spec, pts[lo:hi], pts[c0:c1]))
+        factors = _kernel_factors(spec, pts[lo:hi], pts[c0:c1])
+        kern = factors[0]
+        for f in factors[1:]:
+            kern = kern * f
+        loo = _loo_products(factors)
         diagonal = c0 == lo
         if diagonal:
+            r[lo:hi] += np.tril(kern, -1).sum(axis=1)
             coeff = np.minimum(beta[lo:hi, None], beta[None, lo:hi])
             np.fill_diagonal(coeff, 0.0)
         else:
+            r[lo:hi] += kern.sum(axis=1)
             coeff = beta[lo:hi, None]
         for t in range(d):
             st = 2.0 if gam is None else 2.0 * gam[t]
@@ -580,4 +596,5 @@ def prefix_loss_grad(
             grad[lo:hi, t] += st * (wt * fam.dk(x, y)).sum(axis=1)
             if not diagonal:
                 grad[c0:c1, t] += st * (wt * fam.dk(y, x)).sum(axis=0)
-    return grad
+    loss = _weighted_loss(coefficients, const, bfac.prod(axis=1), r, kdfac.prod(axis=1))
+    return loss, grad

@@ -164,12 +164,15 @@ def _check_collapse(points: np.ndarray, pretrained: bool = True) -> None:
         )
 
 
-def _run_stage(stage, model, cfg, epochs, loss_of, upstream_of, lr_at, keep_best, progress=None):
-    """The loop both stages share: ``loss_of(out)`` may raise ``CollapseError``,
-    ``upstream_of(out)`` is the loss gradient, and the checkpoint holds the
-    best-loss parameters if ``keep_best``, else the last finite-loss ones.
-    ``progress(stage, epoch, epochs, loss, seconds)``, if given, hears of
-    every tenth of the epochs.  Returns the log and the checkpoint's loss."""
+def _run_stage(stage, model, cfg, epochs, objective, lr_at, keep_best, progress=None):
+    """The loop both stages share.  ``objective(out, step)`` returns the
+    loss of the points ``out`` and its gradient ``upstream``, and may raise
+    ``CollapseError``.  ``step`` is false only on the last forward, where no
+    update follows; there ``upstream`` is None.  The checkpoint
+    holds the best-loss parameters if ``keep_best``, else the last
+    finite-loss ones.  ``progress(stage, epoch, epochs, loss, seconds)``, if
+    given, hears of every tenth of the epochs.  Returns the log and the
+    checkpoint's loss."""
     if model.out_dim != cfg.dim:
         raise ValueError(f"model emits dimension {model.out_dim}, config asks for {cfg.dim}")
     restored = "restored best checkpoint" if keep_best else "restored last good checkpoint"
@@ -184,7 +187,7 @@ def _run_stage(stage, model, cfg, epochs, loss_of, upstream_of, lr_at, keep_best
     for epoch in range(epochs + 1):
         out, acts = neuralnet._forward_encoded(model, enc, ws)
         try:
-            loss = loss_of(out)
+            loss, upstream = objective(out, epoch < epochs)
         except CollapseError as exc:
             if not epoch:
                 raise
@@ -203,7 +206,7 @@ def _run_stage(stage, model, cfg, epochs, loss_of, upstream_of, lr_at, keep_best
             progress(stage, epoch, epochs, loss, log.records[-1].seconds)
         if epoch == epochs or not np.isfinite(loss):
             break
-        grads = neuralnet._backward_encoded(model, acts, upstream_of(out))
+        grads = neuralnet._backward_encoded(model, acts, upstream)
         lr = lr_at(epoch)  # step e + 1 takes lr_at(e), and epoch e + 1's loss is logged with it
         try:
             neuralnet.adam_step(adam, params, grads, lr)
@@ -234,10 +237,14 @@ def pretrain(cfg: TrainConfig, model: neuralnet.MlpModel | None = None, progress
         seqcore.SequenceSpec(cfg.reference_kind, cfg.dim, burn_in=cfg.burn_in),
         cfg.n_points,
     )
+
+    def objective(out, step):
+        diff = out - targets
+        loss = float((diff**2).sum() / cfg.n_points)
+        return loss, (2.0 * diff / cfg.n_points if step else None)
+
     log, mse = _run_stage(
-        "pretrain", model, cfg, cfg.pretrain_epochs,
-        loss_of=lambda out: float(((out - targets) ** 2).sum() / cfg.n_points),
-        upstream_of=lambda out: 2.0 * (out - targets) / cfg.n_points,
+        "pretrain", model, cfg, cfg.pretrain_epochs, objective,
         lr_at=lambda epoch: cfg.pretrain_lr,
         keep_best=False,
         progress=progress,
@@ -268,17 +275,19 @@ def finetune(model: neuralnet.MlpModel, cfg: TrainConfig, progress=None):
     kspec = cfg.kernel_spec()
     weights = discrepancy.PrefixWeights(cfg.weight_scheme)
 
-    def loss_of(points):
-        if not np.isfinite(points).all():  # prefix_loss rejects non-finite points
-            return np.nan
-        loss = discrepancy.prefix_loss(kspec, weights, points)
+    def objective(points, step):
+        if not np.isfinite(points).all():  # the loss rejects non-finite points
+            return np.nan, None
+        if step:  # the loss and its gradient from one pair walk
+            loss, upstream = discrepancy.prefix_loss_grad(kspec, weights, points)
+        else:
+            loss, upstream = discrepancy.prefix_loss(kspec, weights, points), None
         if np.isfinite(loss):
             _check_collapse(points, pretrained=cfg.pretrain_epochs > 0)
-        return loss
+        return loss, upstream
 
     log, best_loss = _run_stage(
-        "finetune", model, cfg, cfg.finetune_epochs, loss_of,
-        upstream_of=lambda points: discrepancy.prefix_loss_grad(kspec, weights, points),
+        "finetune", model, cfg, cfg.finetune_epochs, objective,
         lr_at=lambda epoch: cosine_lr(cfg.finetune_lr, cfg.final_lr_ratio, epoch, cfg.finetune_epochs),
         keep_best=True,
         progress=progress,

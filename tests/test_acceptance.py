@@ -126,7 +126,7 @@ def test_criterion_4_gradient_correctness():
             weights = disc.PrefixWeights(scheme)
             for _ in range(5):
                 pts = rng.uniform(0.02, 0.98, (16, 3))
-                got = disc.prefix_loss_grad(spec, weights, pts)
+                got = disc.prefix_loss_grad(spec, weights, pts)[1]
                 for m in range(16):
                     for t in range(3):
                         hi = pts.copy()

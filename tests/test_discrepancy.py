@@ -434,7 +434,7 @@ class TestPrefixLossGrad:
         spec = disc.KernelSpec(family)
         weights = disc.PrefixWeights(scheme)
         pts = rng.uniform(0.02, 0.98, (16, 3))
-        got = disc.prefix_loss_grad(spec, weights, pts)
+        got = disc.prefix_loss_grad(spec, weights, pts)[1]
         ref = self.fdiff(spec, weights, pts)
         np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-10)
 
@@ -444,7 +444,7 @@ class TestPrefixLossGrad:
         weights = disc.PrefixWeights("length-proportional")
         pts = rng.uniform(0.02, 0.98, (12, 3))
         np.testing.assert_allclose(
-            disc.prefix_loss_grad(spec, weights, pts),
+            disc.prefix_loss_grad(spec, weights, pts)[1],
             self.fdiff(spec, weights, pts),
             rtol=1e-5,
             atol=1e-10,
@@ -459,7 +459,7 @@ class TestPrefixLossGrad:
         weights = disc.PrefixWeights("uniform")
         pts = rng.uniform(0.02, 0.98, (TILED_N, d))
         rows = sorted({0, TILE_ROWS - 1, TILE_ROWS, TILE_COLS - 1, TILE_COLS, TILED_N - 1})
-        got = disc.prefix_loss_grad(spec, weights, pts)[rows]
+        got = disc.prefix_loss_grad(spec, weights, pts)[1][rows]
         ref = self.fdiff(spec, weights, pts, rows=rows)[rows]
         np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-10)
 
@@ -476,7 +476,7 @@ class TestPrefixLossGrad:
         weights = disc.PrefixWeights(scheme)
         pts = rng.uniform(0, 1, (n, 3))
         np.testing.assert_allclose(
-            disc.prefix_loss_grad(spec, weights, pts),
+            disc.prefix_loss_grad(spec, weights, pts)[1],
             dense_grad_reference(spec, weights, pts),
             rtol=1e-12,
             atol=1e-15,
@@ -488,15 +488,15 @@ class TestPrefixLossGrad:
         pts = np.array([[0.2], [0.8], [0.35], [0.65]])
         spec = disc.KernelSpec("ctr")
         weights = disc.PrefixWeights("uniform")
-        g = disc.prefix_loss_grad(spec, weights, pts)
-        g_ref = disc.prefix_loss_grad(spec, weights, 1.0 - pts)
+        g = disc.prefix_loss_grad(spec, weights, pts)[1]
+        g_ref = disc.prefix_loss_grad(spec, weights, 1.0 - pts)[1]
         np.testing.assert_allclose(g, -g_ref, atol=1e-12)
 
     def test_duplicate_points_finite(self):
         pts = np.array([[0.3, 0.7], [0.3, 0.7], [0.6, 0.1]])
         g = disc.prefix_loss_grad(
             disc.KernelSpec("sym"), disc.PrefixWeights("uniform"), pts
-        )
+        )[1]
         assert np.isfinite(g).all()
 
     def test_descent_direction(self):
@@ -507,7 +507,7 @@ class TestPrefixLossGrad:
         for _ in range(20):
             pts = rng.uniform(0.05, 0.95, (10, 2))
             loss = disc.prefix_loss(spec, weights, pts)
-            g = disc.prefix_loss_grad(spec, weights, pts)
+            g = disc.prefix_loss_grad(spec, weights, pts)[1]
             stepped = pts - 1e-7 * g
             assert disc.prefix_loss(spec, weights, stepped) <= loss + 1e-14
 
@@ -550,7 +550,8 @@ class TestDeterminism:
             lambda: disc.discrepancy_single(spec, pts),
             lambda: disc.discrepancy_all_prefixes(spec, pts),
             lambda: disc.prefix_loss(spec, weights, pts),
-            lambda: disc.prefix_loss_grad(spec, weights, pts),
+            lambda: disc.prefix_loss_grad(spec, weights, pts)[0],
+            lambda: disc.prefix_loss_grad(spec, weights, pts)[1],
         ):
             assert np.array_equal(fn(), fn())
 
@@ -566,7 +567,7 @@ class TestPointValidation:
         ),
         "prefix_loss_grad": lambda pts: disc.prefix_loss_grad(
             disc.KernelSpec("star"), disc.PrefixWeights("uniform"), pts
-        ),
+        )[1],
         "kernel_eval": lambda pts: disc.kernel_eval(
             disc.KernelSpec("star"), pts[0], pts[len(pts) // 2]
         ),
@@ -636,24 +637,28 @@ def reference_pair_rowsums(spec, pts):
 
 
 def reference_outputs(monkeypatch, spec, weights, pts):
-    """_pair_rowsums, discrepancy_all_prefixes, prefix_loss and
-    prefix_loss_grad with the reference walk, cumulative sum and kernel
-    formulas patched in."""
+    """_pair_rowsums, discrepancy_all_prefixes, prefix_loss twice (the
+    reference of the fused loss) and the gradient of prefix_loss_grad, with
+    the reference walk, cumulative sum and kernel formulas patched in."""
     with monkeypatch.context() as m:
         fam = disc.KERNELS[spec.family]
         ref_k = REFERENCE_K[spec.family]
         m.setitem(disc.KERNELS, spec.family, dataclasses.replace(fam, k=lambda x, y, out=None, tmp=None: ref_k(x, y)))
         m.setattr(disc, "_pair_rowsums", reference_pair_rowsums)
         m.setattr(disc, "_kahan_cumsum", reference_kahan_cumsum)
-        return program_outputs(spec, weights, pts)
+        rowsums, prefixes, loss, _, grad = program_outputs(spec, weights, pts)
+        return rowsums, prefixes, loss, loss, grad
 
 
 def program_outputs(spec, weights, pts):
+    """_pair_rowsums, discrepancy_all_prefixes, prefix_loss, and the loss
+    and gradient of prefix_loss_grad (None below two points)."""
+    fused = disc.prefix_loss_grad(spec, weights, pts) if len(pts) > 1 else (None, None)
     return (
         disc._pair_rowsums(spec, pts),
         disc.discrepancy_all_prefixes(spec, pts),
         disc.prefix_loss(spec, weights, pts) if len(pts) > 1 else None,
-        disc.prefix_loss_grad(spec, weights, pts) if len(pts) > 1 else None,
+        *fused,
     )
 
 

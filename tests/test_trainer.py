@@ -523,7 +523,7 @@ def reference_finetune(model, cfg):
     for epoch in range(1, epochs + 1):
         lr = tr.cosine_lr(cfg.finetune_lr, cfg.final_lr_ratio, epoch - 1, cfg.finetune_epochs)
         out, acts = nn._forward_encoded(model, enc)
-        upstream = disc.prefix_loss_grad(kspec, weights, out)
+        upstream = disc.prefix_loss_grad(kspec, weights, out)[1]
         grads = nn._backward_encoded(model, acts, upstream)
         nn.adam_step(adam, params, grads, lr)
         points, loss = evaluate()
@@ -656,7 +656,9 @@ class TestOneForwardPerEpoch:
         model, _ = tr.pretrain(cfg)
         assert calls == {"forward": epochs + 1, "prefix_loss": 0, "prefix_loss_grad": 0}
         tr.finetune(model, cfg)
-        assert calls == {"forward": 2 * (epochs + 1), "prefix_loss": epochs + 1,
+        # one pair walk per forward: the loss and gradient of every stepped
+        # epoch from prefix_loss_grad, the loss of the last from prefix_loss
+        assert calls == {"forward": 2 * (epochs + 1), "prefix_loss": 1,
                          "prefix_loss_grad": epochs}
 
 
