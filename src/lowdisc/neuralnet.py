@@ -202,20 +202,27 @@ def _forward_encoded(model: MlpModel, enc: np.ndarray, ws: Workspace | None = No
     return ws.points, ws
 
 
-def forward(model: MlpModel, indices) -> np.ndarray:
-    """Batch evaluation of the index-to-point map; pure and deterministic.
-
-    ``indices`` must be a 1-D array of finite nonnegative integers.
-    """
+def _encode_checked(model: MlpModel, indices) -> np.ndarray:
+    """The encoding of ``indices``, a 1-D array of finite nonnegative
+    integers; warns the caller's caller when they reach beyond the trained
+    normalization length."""
     idx = _index_array(indices)
     if idx.size and int(idx.max()) > model.encoding.n_norm:
         warnings.warn(
             f"evaluating indices up to {int(idx.max())} beyond the trained "
             f"normalization length {model.encoding.n_norm}",
             ExtrapolationWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return _forward_encoded(model, encode_indices(model.encoding, idx))[0]
+    return encode_indices(model.encoding, idx)
+
+
+def forward(model: MlpModel, indices) -> np.ndarray:
+    """Batch evaluation of the index-to-point map; pure and deterministic.
+
+    ``indices`` must be a 1-D array of finite nonnegative integers.
+    """
+    return _forward_encoded(model, _encode_checked(model, indices))[0]
 
 
 def _backward_encoded(model: MlpModel, acts: Workspace, upstream: np.ndarray):
@@ -246,9 +253,10 @@ def _backward_encoded(model: MlpModel, acts: Workspace, upstream: np.ndarray):
 def backward(model: MlpModel, indices, upstream) -> list[np.ndarray]:
     """Gradient of sum(upstream * forward(indices)) in every parameter.
 
+    Indices are checked, and warned about, as in :func:`forward`.
     Returned arrays follow the ``MlpModel.params()`` ordering.
     """
-    enc = encode_indices(model.encoding, _index_array(indices))
+    enc = _encode_checked(model, indices)
     upstream = np.asarray(upstream, dtype=np.float64)
     _, acts = _forward_encoded(model, enc)
     if upstream.shape != acts[-1].shape:

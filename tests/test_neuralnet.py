@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +89,17 @@ class TestForward:
         model = tiny_model(n_norm=16)
         with pytest.warns(nn.ExtrapolationWarning):
             nn.forward(model, [17])
+
+    def test_backward_flags_extrapolation_as_forward_does(self):
+        model = tiny_model(n_norm=16)
+        with pytest.warns(nn.ExtrapolationWarning) as heard:
+            nn.forward(model, [17])
+            nn.backward(model, [17], np.ones((1, 2)))
+        assert len(heard) == 2 and heard[0].message.args == heard[1].message.args
+        assert [w.filename for w in heard] == [__file__, __file__]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nn.backward(model, [16], np.ones((1, 2)))
 
     def test_init_is_seeded(self):
         a = tiny_model(seed=9)
