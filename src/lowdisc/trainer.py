@@ -2,15 +2,18 @@
 
 Stage one regresses the network onto a classical reference sequence with a
 mean-squared-error loss; stage two fine-tunes on the prefix-weighted
-squared-discrepancy loss with cosine learning-rate decay and best-loss
-checkpointing.  Runs are bit-reproducible for a fixed seed.
+squared-discrepancy loss with cosine learning-rate decay.  Both keep their
+best-loss checkpoint.  Runs are bit-reproducible for a fixed seed.
 
-Both stages run one forward -> loss -> step loop with one failure policy.
-The one forward of the parameters after step e gives epoch e's logged loss
-and step e + 1's gradient, so E epochs take E + 1 forwards.  A non-finite
-loss or gradient, or a collapse after epoch 0, stops either stage with a
-note and returns its checkpoint; a collapse at epoch 0 raises
-``CollapseError``.
+Both stages run one forward -> loss -> step loop with one failure policy
+and one objective, which gives the loss and its gradient together.  The one
+forward of the parameters after step e gives epoch e's logged loss and step
+e + 1's gradient, so E epochs take E + 1 forwards.  Fine-tuning walks the
+pairs once per forward: the loss and gradient come from one
+``prefix_loss_grad`` walk, and the last forward, which no step follows,
+takes its loss alone from ``prefix_loss``.  A non-finite loss or gradient,
+or a collapse after epoch 0, stops either stage with a note and returns its
+checkpoint; a collapse at epoch 0 raises ``CollapseError``.
 
 Each stage allocates once: one ``neuralnet.Workspace`` for the forward and
 backward of all ``n_points`` rows, the Adam moments and scratch, and one
@@ -164,18 +167,16 @@ def _check_collapse(points: np.ndarray, pretrained: bool = True) -> None:
         )
 
 
-def _run_stage(stage, model, cfg, epochs, objective, lr_at, keep_best, progress=None):
+def _run_stage(stage, model, cfg, epochs, objective, lr_at, progress=None):
     """The loop both stages share.  ``objective(out, step)`` returns the
     loss of the points ``out`` and its gradient ``upstream``, and may raise
     ``CollapseError``.  ``step`` is false only on the last forward, where no
-    update follows; there ``upstream`` is None.  The checkpoint
-    holds the best-loss parameters if ``keep_best``, else the last
-    finite-loss ones.  ``progress(stage, epoch, epochs, loss, seconds)``, if
-    given, hears of every tenth of the epochs.  Returns the log and the
-    checkpoint's loss."""
+    update follows; there ``upstream`` is None.  The checkpoint holds the
+    best-loss parameters.  ``progress(stage, epoch, epochs, loss,
+    seconds)``, if given, hears of every tenth of the epochs.  Returns the
+    log and the checkpoint's loss."""
     if model.out_dim != cfg.dim:
         raise ValueError(f"model emits dimension {model.out_dim}, config asks for {cfg.dim}")
-    restored = "restored best checkpoint" if keep_best else "restored last good checkpoint"
     enc = neuralnet.encode_indices(model.encoding, np.arange(1, cfg.n_points + 1))
     ws = neuralnet.Workspace(model, cfg.n_points)
     params = model.params()
@@ -191,14 +192,14 @@ def _run_stage(stage, model, cfg, epochs, objective, lr_at, keep_best, progress=
         except CollapseError as exc:
             if not epoch:
                 raise
-            log.notes.append(f"{stage} collapsed at epoch {epoch}: {exc}; {restored}")
+            log.notes.append(f"{stage} collapsed at epoch {epoch}: {exc}; restored best checkpoint")
             break
         if not np.isfinite(loss):
             if epoch:
-                log.notes.append(f"{stage} diverged at epoch {epoch}; {restored}")
+                log.notes.append(f"{stage} diverged at epoch {epoch}; restored best checkpoint")
                 break
             log.notes.append(f"{stage} diverged at epoch 0: the starting model gives a non-finite loss; returned it unchanged")
-        if not keep_best or epoch == 0 or loss < best_loss:
+        if epoch == 0 or loss < best_loss:
             best_loss = loss
             model.copy_params(best_params)
         log.append(stage, epoch, loss, lr, time.perf_counter() - t0)
@@ -211,7 +212,7 @@ def _run_stage(stage, model, cfg, epochs, objective, lr_at, keep_best, progress=
         try:
             neuralnet.adam_step(adam, params, grads, lr)
         except ValueError as exc:  # a non-finite gradient; adam_step changed nothing
-            log.notes.append(f"{stage} diverged at epoch {epoch + 1}: {exc}; {restored}")
+            log.notes.append(f"{stage} diverged at epoch {epoch + 1}: {exc}; restored best checkpoint")
             break
     model.load_params(best_params)
     return log, best_loss
@@ -221,9 +222,9 @@ def pretrain(cfg: TrainConfig, model: neuralnet.MlpModel | None = None, progress
     """Regress the network onto the reference sequence with MSE.
 
     Targets for sequence-local index i are the reference points at raw
-    index i - 1 + burn_in.  Returns the final model and a per-epoch log;
-    on divergence the last finite-loss parameters are restored.
-    ``progress`` is as in ``_run_stage``.
+    index i - 1 + burn_in.  Returns the best-MSE checkpoint, whose MSE is
+    ``meta["pretrain_mse"]``, and a per-epoch log.  ``progress`` is as in
+    ``_run_stage``.
     """
     if model is None:
         model = neuralnet.init_mlp(
@@ -246,7 +247,6 @@ def pretrain(cfg: TrainConfig, model: neuralnet.MlpModel | None = None, progress
     log, mse = _run_stage(
         "pretrain", model, cfg, cfg.pretrain_epochs, objective,
         lr_at=lambda epoch: cfg.pretrain_lr,
-        keep_best=False,
         progress=progress,
     )
     model.meta.update(
@@ -289,7 +289,6 @@ def finetune(model: neuralnet.MlpModel, cfg: TrainConfig, progress=None):
     log, best_loss = _run_stage(
         "finetune", model, cfg, cfg.finetune_epochs, objective,
         lr_at=lambda epoch: cosine_lr(cfg.finetune_lr, cfg.final_lr_ratio, epoch, cfg.finetune_epochs),
-        keep_best=True,
         progress=progress,
     )
     model.meta.update(
