@@ -53,7 +53,7 @@ def main() -> None:
             lowdisc("disc", "--points", points, "--kernel", args.loss, "--out", table)
             curves[name] = np.loadtxt(table, delimiter=",", skiprows=1, ndmin=2)[:, 1]
     meta = dict(line.split(": ", 1) for line in Path(args.out_model + ".meta").read_text().splitlines())
-    print(f"model -> {args.out_model}  (pretrain MSE {float(meta['pretrain_mse']):.2e}, "
+    print(f"model -> {args.out_model}  (best pretrain MSE {float(meta['pretrain_mse']):.2e}, "
           f"loss {float(meta['finetune_loss']):.6e})")
 
     with open(args.out_curve, "w") as fh:
